@@ -6,12 +6,34 @@ One sweep repartitions the support at the bisector breakpoints and moves
 each point under its cell's barycenter.  In foot coordinates this is the
 textbook one-dimensional Lloyd map for the uniform density, a contraction
 with rate cos^2(pi / (2n)), so the foot error shrinks geometrically and
-slower for larger n.  The demo measures that rate empirically.
+slower for larger n.  The demo measures that rate by stepping one sweep at
+a time (max_iter=1 is exactly one lloyd_step).
+
+The solver itself extrapolates after every sweep (a Chebyshev
+semi-iteration), which turns the rate into roughly 1 - pi / n per sweep;
+the demo measures that rate too, from the sweeps needed per decade of tol.
 """
 
 import math
 
 from segquant import SolverConfig, solve_fixed_constraint, vn
+
+
+def foot_error(n: int, feet) -> float:
+    return max(abs(f - (2 * j - 1) / (2 * n)) for j, f in enumerate(feet, 1))
+
+
+def plain_lloyd_rate(n: int, sweeps: int) -> float:
+    """Error ratio per plain sweep over the second half of `sweeps` sweeps,
+    once the slowest mode dominates."""
+    feet = solve_fixed_constraint(n, n, SolverConfig(max_iter=1)).quantizer.feet()
+    errors = [foot_error(n, feet)]
+    for _ in range(sweeps - 1):
+        cfg = SolverConfig(max_iter=1, init="explicit", init_feet=feet)
+        feet = solve_fixed_constraint(n, n, cfg).quantizer.feet()
+        errors.append(foot_error(n, feet))
+    half = sweeps // 2
+    return (errors[-1] / errors[half - 1]) ** (1 / (sweeps - half))
 
 
 def sweeps_needed(n: int, tol: float) -> int:
@@ -20,18 +42,30 @@ def sweeps_needed(n: int, tol: float) -> int:
     return out.iterations
 
 
+def chebyshev_rate(n: int) -> float:
+    rho = math.cos(math.pi / (2 * n)) ** 2
+    sigma = rho / (2 - rho)
+    return sigma / (1 + math.sqrt(1 - sigma * sigma))
+
+
 def main() -> None:
-    print("sweeps until the max foot movement drops below tol:")
-    print(f"{'n':>4} {'tol=1e-6':>10} {'tol=1e-9':>10} {'tol=1e-12':>11} {'rate':>9} {'cos^2':>9}")
+    print("contraction per sweep, plain Lloyd and the accelerated solver:")
+    print(
+        f"{'n':>4} {'plain':>9} {'cos^2':>9} {'solver':>9} {'predicted':>10}"
+        f" {'sweeps to 1e-12':>16}"
+    )
     for n in (2, 4, 8, 16, 32):
+        plain = plain_lloyd_rate(n, 8 * n)
         s6 = sweeps_needed(n, 1e-6)
-        s9 = sweeps_needed(n, 1e-9)
         s12 = sweeps_needed(n, 1e-12)
-        # movement shrinks by the contraction factor each sweep, so the
-        # extra sweeps per decade of tolerance estimate the rate
-        rate = 10 ** (-3 / ((s12 - s6) / 2)) if s12 > s6 else float("nan")
-        predicted = math.cos(math.pi / (2 * n)) ** 2
-        print(f"{n:>4} {s6:>10} {s9:>10} {s12:>11} {rate:>9.5f} {predicted:>9.5f}")
+        # movement shrinks by the rate each sweep, so the extra sweeps for
+        # six more decades of tolerance measure it
+        solver = 10 ** (-6 / (s12 - s6)) if s12 > s6 else float("nan")
+        cos2 = math.cos(math.pi / (2 * n)) ** 2
+        print(
+            f"{n:>4} {plain:>9.5f} {cos2:>9.5f} {solver:>9.5f} {chebyshev_rate(n):>10.5f}"
+            f" {s12:>16}"
+        )
     print()
 
     print("achieved error vs the closed form (tol = 1e-12):")

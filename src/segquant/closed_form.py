@@ -69,7 +69,7 @@ def optimal_points(n: int) -> Quantizer:
     whose feet sweep [0, 1], so no point is ever clamped.
     """
     return Quantizer(
-        tuple(ConstraintPoint(n, float(x)) for x in optimal_abscissas_exact(n))
+        tuple([ConstraintPoint(n, float(x)) for x in optimal_abscissas_exact(n)])
     )
 
 

@@ -102,7 +102,7 @@ def _best_on_grids(
     k = int(np.argmin(values))
     if not math.isfinite(values[k]):
         return None
-    return float(values[k]), tuple(float(x[k]) for x in xs)
+    return float(values[k]), tuple([float(x[k]) for x in xs])
 
 
 def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutcome:
@@ -157,7 +157,7 @@ def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutco
         if found is not None and found[0] < value:
             value, positions = found
 
-    q = qz.Quantizer(tuple(ConstraintPoint(t, x) for t, x in zip(ts, positions)))
+    q = qz.Quantizer(tuple([ConstraintPoint(t, x) for t, x in zip(ts, positions)]))
     return qz.SolverOutcome(
         quantizer=q,
         distortion=qz.distortion(q),

@@ -6,9 +6,11 @@ embedded points.  For points all on one constraint S_t the two Lloyd half
 steps take a simple form in foot coordinates: breakpoints are midpoints of
 consecutive feet, and each new foot is the midpoint of its cell.  That is
 the classic fixed-point iteration for uniform one-dimensional quantization,
-a contraction with rate cos^2(pi / (2n)), so the solver converges to the
-unique fixed point with equispaced feet (2j - 1) / (2n) from any valid
-start.
+a contraction with rate cos^2(pi / (2n)).  The solver accelerates it with a
+Chebyshev semi-iteration: each of its iterations is one Lloyd sweep plus one
+extrapolation, and it converges to the unique fixed point with equispaced
+feet (2j - 1) / (2n) from any valid start in O(n) rather than O(n^2)
+iterations per decade of accuracy.
 """
 
 from __future__ import annotations
@@ -75,10 +77,10 @@ class Quantizer:
         return len(self.points)
 
     def feet(self) -> tuple[float, ...]:
-        return tuple(forward_map(p) for p in self.points)
+        return tuple([forward_map(p) for p in self.points])
 
     def abscissas(self) -> tuple[float, ...]:
-        return tuple(p.x for p in self.points)
+        return tuple([p.x for p in self.points])
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ class Partition:
     def cells(self) -> tuple[SupportInterval, ...]:
         cuts = self.breakpoints
         return tuple(
-            SupportInterval(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)
+            [SupportInterval(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
         )
 
 
@@ -167,7 +169,9 @@ def lloyd_step(q: Quantizer, t: int) -> Quantizer:
 class SolverConfig:
     """Stopping rule and initialization for the fixed-point solver.
 
-    tol bounds the max foot movement of the last sweep; init is either
+    An iteration is one Lloyd sweep plus one extrapolation; max_iter caps
+    their number.  tol bounds the max foot movement of the last sweep, the
+    one whose result the solver returns; init is either
     "equispaced-feet" (feet (2j - 1) / (2n), displaced by +0.1/n on odd
     1-based indices so convergence is observable) or "explicit" with
     init_feet supplying strictly increasing feet.
@@ -191,7 +195,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverOutcome:
-    """Result of a solver run; converged means the movement criterion held."""
+    """Result of a solver run.
+
+    iterations counts Lloyd sweeps, one per solver iteration; converged
+    means the returned quantizer's sweep moved the feet by at most tol.
+    """
 
     quantizer: Quantizer
     distortion: float
@@ -214,39 +222,82 @@ def _raise_collapsed(cuts: np.ndarray) -> None:
 def _solve_loop(
     x0: np.ndarray, inv_t: float, tol: float, max_iter: int
 ) -> tuple[np.ndarray, int, float]:
-    """Lloyd sweeps in foot coordinates, vectorized over the points.
+    """Chebyshev-accelerated Lloyd sweeps in foot coordinates.
 
     Same-constraint breakpoints reduce to x_left + x_right + 1/t, and cell
-    midpoints pull back to abscissa (c_left + c_right)/4 - 1/(2t); one sweep
-    of this loop therefore equals lloyd_step.  A valid state (strictly
-    increasing feet, interior breakpoints) maps to a valid state, so only
-    breakpoint escapes past 0 or 1 need checking.
+    midpoints pull back to abscissa (c_left + c_right)/4 - 1/(2t), so the
+    sweep g = Lloyd(x) below equals lloyd_step.  It is affine, and its
+    matrix has the exact spectrum {cos^2(k pi / (2n)) : k = 1..n}, inside
+    [0, rho] with rho = cos^2(pi / (2n)).  Each iteration runs one sweep
+    g_k = Lloyd(x_k); it stops, returning g_k, once the sweep moves the feet
+    by at most tol or max_iter iterations have run.  Otherwise it
+    extrapolates with the Chebyshev semi-iteration of Golub & Varga (1961):
+
+        x_{k+1} = x_{k-1} + w_{k+1} (gamma (g_k - x_k) + x_k - x_{k-1}),
+
+    with gamma = 2 / (2 - rho) mapping the spectrum onto [-sigma, sigma],
+    sigma = rho / (2 - rho), and w_1 = 1, w_2 = 1 / (1 - sigma^2 / 2),
+    w_{k+1} = 1 / (1 - sigma^2 w_k / 4).  The error then shrinks by about
+    sigma / (1 + sqrt(1 - sigma^2)) per iteration, close to 1 - pi / n
+    against the 1 - pi^2 / (4 n^2) of plain sweeping.
+
+    A sweep maps a valid state (strictly increasing feet, end breakpoints
+    inside (0, 1)) to a valid state, so only the caller's start can leave
+    the support, and it raises InvalidQuantizerError.  An extrapolated
+    state that is not valid is replaced by its sweep g_k, and the w
+    sequence restarts.
     """
     n = x0.size
+    rho = math.cos(math.pi / (2 * n)) ** 2
+    gamma = 2.0 / (2.0 - rho)
+    quarter_sigma2 = 0.25 * (rho / (2.0 - rho)) ** 2
     x = x0.copy()
-    xn = np.empty(n)
+    prev = np.empty(n)
+    g = np.empty(n)
+    delta = np.empty(n)
+    gaps = np.empty(n - 1)
     cuts = np.empty(n + 1)
     cuts[0] = 0.0
     cuts[-1] = 1.0
-    delta = np.empty(n)
     half_inv_t = 0.5 * inv_t
+    omega = 1.0
+    step = 0  # extrapolations since the w sequence last (re)started
     iterations = 0
     movement = math.inf
     for iterations in range(1, max_iter + 1):
         np.add(x[:-1], x[1:], out=cuts[1:n])
         cuts[1:n] += inv_t
-        if n > 1 and (cuts[1] < 0.0 or cuts[n - 1] > 1.0):
+        if iterations == 1 and n > 1 and (cuts[1] < 0.0 or cuts[n - 1] > 1.0):
             _raise_collapsed(cuts)
-        np.add(cuts[:-1], cuts[1:], out=xn)
-        xn *= 0.25
-        xn -= half_inv_t
-        np.subtract(xn, x, out=delta)
-        np.abs(delta, out=delta)
-        movement = 2.0 * float(delta.max())
-        x, xn = xn, x
-        if movement <= tol:
+        np.add(cuts[:-1], cuts[1:], out=g)
+        g *= 0.25
+        g -= half_inv_t
+        np.subtract(g, x, out=delta)
+        movement = 2.0 * max(float(delta.max()), -float(delta.min()))
+        if movement <= tol or iterations == max_iter:
             break
-    return x, iterations, movement
+        # x_{k+1} overwrites x_{k-1} in prev
+        step += 1
+        delta *= gamma
+        if step == 1:  # w_1 = 1
+            np.add(x, delta, out=prev)
+        else:
+            omega = 1.0 / (1.0 - (2.0 if step == 2 else omega) * quarter_sigma2)
+            delta += x
+            delta -= prev
+            delta *= omega
+            prev += delta
+        if n > 1:
+            np.subtract(prev[1:], prev[:-1], out=gaps)
+            if not (
+                gaps.min() > 0.0
+                and prev[0] + prev[1] + inv_t > 0.0
+                and prev[-2] + prev[-1] + inv_t < 1.0
+            ):
+                prev, g = g, prev
+                step = 0
+        x, prev = prev, x
+    return g, iterations, movement
 
 
 def solve_fixed_constraint(
@@ -254,9 +305,11 @@ def solve_fixed_constraint(
 ) -> SolverOutcome:
     """Fixed-point solver for the best n points on the single constraint S_t.
 
-    Iterates Lloyd sweeps until the max foot movement drops to config.tol or
-    max_iter sweeps have run; converged reports which happened.  The fixed
-    point has feet (2j - 1) / (2n) regardless of t.
+    Runs Chebyshev-accelerated Lloyd iterations (see _solve_loop) until the
+    last sweep moves the feet by at most config.tol or max_iter iterations
+    have run, and returns that sweep's result; converged reports which
+    happened.  With max_iter=1 the result is exactly lloyd_step of the start.
+    The fixed point has feet (2j - 1) / (2n) regardless of t.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -273,7 +326,7 @@ def solve_fixed_constraint(
     inv_t = 1.0 / t
     x0 = np.array([float(p.x) for p in start])
     x, iterations, movement = _solve_loop(x0, inv_t, cfg.tol, cfg.max_iter)
-    q = Quantizer(tuple(ConstraintPoint(t, float(v)) for v in x))
+    q = Quantizer(tuple([ConstraintPoint(t, v) for v in x.tolist()]))
     return SolverOutcome(
         quantizer=q,
         distortion=distortion(q),

@@ -157,6 +157,15 @@ def test_solve_lloyd_matches_closed_form():
     assert worst <= 1e-6
 
 
+def test_solve_lloyd_converges_at_cli_defaults_for_n_64():
+    record = solve_record("--n", "64", "--method", "lloyd")
+    assert abs(record["distortion"] - vn(64)) <= 1e-12
+    worst = max(
+        abs(p["foot"] - (2 * j - 1) / 128) for j, p in enumerate(record["points"], 1)
+    )
+    assert worst <= 1e-9
+
+
 # ------------------------------------------------------------------- curve
 
 

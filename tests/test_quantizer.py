@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from segquant import (
     ConstraintPoint,
@@ -256,6 +260,58 @@ def test_solver_iteration_count_scales_with_tolerance():
     tight = solve_fixed_constraint(8, 8, SolverConfig(tol=1e-12))
     assert loose.converged and tight.converged
     assert loose.iterations < tight.iterations
+
+
+# the configuration of the acceptance gate and `segquant verify`
+GATE = SolverConfig(tol=1e-13, max_iter=200_000)
+
+
+def foot_deviation(n: int, feet) -> float:
+    return max(abs(f - (2 * j - 1) / (2 * n)) for j, f in enumerate(feet, 1))
+
+
+@st.composite
+def spread_feet(draw) -> tuple[float, ...]:
+    """Strictly increasing feet in (0, 1), cut from n + 1 drawn gaps."""
+    n = draw(st.integers(1, 64))
+    gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n + 1, max_size=n + 1))
+    total = sum(gaps)
+    return tuple(acc / total for acc in itertools.accumulate(gaps[:-1]))
+
+
+@st.composite
+def squeezed_feet(draw) -> tuple[float, ...]:
+    """Optimal sites squeezed toward 0 by a factor in [0.6, 0.7], each
+    jittered by at most a tenth of their spacing: the benchmark's starts."""
+    n = draw(st.integers(20, 64))
+    s = draw(st.floats(0.6, 0.7))
+    jitter = draw(st.lists(st.floats(-0.1, 0.1), min_size=n, max_size=n))
+    return tuple(s * ((2 * j - 1) / (2 * n) + u / n) for j, u in enumerate(jitter, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(feet=st.one_of(spread_feet(), squeezed_feet()), t=st.integers(1, 64))
+@example(feet=(0.5,), t=1)
+# feet outside [0, 1]: the first extrapolation crosses two feet, and the
+# solver goes on from that iteration's sweep instead
+@example(feet=(-0.285, 0.35, 0.437), t=3)
+def test_solver_converges_from_any_valid_start(feet, t):
+    n = len(feet)
+    cfg = dataclasses.replace(GATE, init="explicit", init_feet=feet)
+    out = solve_fixed_constraint(n, t, cfg)
+    assert out.converged
+    assert all(p.j == t for p in out.quantizer.points)
+    assert len(partition_of(out.quantizer).breakpoints) == n + 1
+    assert foot_deviation(n, out.quantizer.feet()) <= 1e-9
+
+
+def test_solver_defaults_converge_and_iterations_stay_linear():
+    out = solve_fixed_constraint(64, 64)
+    assert out.converged
+    assert foot_deviation(64, out.quantizer.feet()) <= 1e-9
+    # plain Lloyd sweeping needs about 600,000 sweeps here
+    total = sum(solve_fixed_constraint(n, n, GATE).iterations for n in range(1, 65))
+    assert total <= 30_000
 
 
 # --------------------------------------------------------- best constraint
