@@ -1,11 +1,12 @@
 """
-Believing the formulas: exhaustive search and direct integration
+Believing the formulas: exact grid search and direct integration
 ================================================================
 
-Nothing here uses the closed forms.  The grid search enumerates every
-assignment of points to constraints and every position combination on a
-widened grid, refines locally, and still lands on the same answer: all
-points on the top constraint S_n at abscissas (2j - 3) / (4n).  A midpoint
+Nothing here uses the closed forms or the solver.  The grid search finds the
+exact minimum over every assignment of points to constraints and every
+position on a widened grid (a dynamic program over consecutive pairs of grid
+states), refines locally, and still lands on the same answer: all points on
+the top constraint S_n at abscissas (2j - 3) / (4n).  A midpoint
 Riemann sum of the pointwise min squared distance independently confirms
 the distortion values.
 """
@@ -22,7 +23,7 @@ from segquant import (
 
 
 def main() -> None:
-    print("exhaustive grid search (step 1e-2, 3 refinement rounds):")
+    print("exact grid search (step 1e-2, 3 refinement rounds):")
     for n in (1, 2, 3):
         out = brute_force(n)
         indices = [p.j for p in out.quantizer.points]

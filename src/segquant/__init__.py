@@ -3,7 +3,7 @@
 The target measure is uniform on [0, 1] x {0}; quantizer points must lie on
 the segments S_j = {(x, x + 1/j) : -1/j <= x <= 1}.  The package computes the
 optimal n-point quantizers three independent ways (closed form, Lloyd-style
-fixed point, exhaustive grid search) and estimates the quantization dimension
+fixed point, exact grid search) and estimates the quantization dimension
 (2) and coefficient (1/2) from the error sequence.
 """
 

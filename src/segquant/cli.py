@@ -204,7 +204,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{'ok' if ok else 'FAIL'}"
         )
     oracle_cfg = oracle.OracleConfig()
-    oracle_tol = 2 * oracle_cfg.grid_step
+    # the final grid resolution bounds the abscissa error by
+    # 2 * grid_step / 2**refine_rounds, and a foot 2x + 1/j moves twice as far
+    oracle_tol = 4 * oracle_cfg.grid_step / 2**oracle_cfg.refine_rounds
     for n in range(1, args.oracle_n_max + 1):
         result = oracle.brute_force(n, oracle_cfg)
         means = closed_form.unconstrained_means(n)

@@ -1,18 +1,19 @@
-"""Independent checks: exhaustive grid search and direct Riemann integration.
+"""Independent checks: exact grid search and direct Riemann integration.
 
-brute_force knows nothing about the closed forms or the fixed-point solver:
-it enumerates every assignment of the n points to constraint indices and
-every combination of positions on a grid over each constraint's feasible
-abscissa range (widened by one grid step on each side), then locally refines
-around the incumbent with halved steps.  riemann_distortion integrates the
-pointwise min squared distance with a midpoint rule, sharing no partition
-logic with the quantizer module.  Both exist to confirm the rest of the
-package, so they favor directness over speed.
+brute_force knows nothing about the closed forms or the fixed-point solver.
+It puts each of the n points on any constraint index and on a grid over that
+constraint's feasible abscissa range (widened by one grid step on each side),
+finds the exact minimum over all such placements by a dynamic program over
+consecutive pairs of grid states (J. D. Bruce, "Optimum quantization", 1965;
+X. Wu, "Optimal quantization by matrix searching", 1991), then locally
+refines around the incumbent with halved steps.  riemann_distortion
+integrates the pointwise min squared distance with a midpoint rule, sharing
+no partition logic with the quantizer module.  Both exist to confirm the
+rest of the package, so neither uses a closed form or the solver.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -53,6 +54,17 @@ class OracleConfig:
             raise ValueError(f"refine_rounds must be >= 0, got {self.refine_rounds!r}")
 
 
+def _cut(a0, y0, a1, y1):
+    """Voronoi cut on the x-axis between the embedded points (a0, y0), (a1, y1)."""
+    return (a1 * a1 + y1 * y1 - a0 * a0 - y0 * y0) / (2.0 * (a1 - a0))
+
+
+def _cell(lo, hi, a, y):
+    """Exact integral of |(u, 0) - (a, y)|^2 over u in [lo, hi]."""
+    poly = lo * lo + lo * hi + hi * hi - 3.0 * a * (lo + hi) + 3.0 * (a * a + y * y)
+    return (hi - lo) * poly / 3.0
+
+
 def _grid_distortions(ts: Sequence[int], xs: list[np.ndarray]) -> np.ndarray:
     """Distortion of each candidate tuple; +inf where the candidate is invalid.
 
@@ -63,6 +75,7 @@ def _grid_distortions(ts: Sequence[int], xs: list[np.ndarray]) -> np.ndarray:
     """
     n = len(ts)
     invs = [1.0 / t for t in ts]
+    ys = [x + inv for x, inv in zip(xs, invs)]
     with np.errstate(divide="ignore", invalid="ignore"):
         feet = [2.0 * x + inv for x, inv in zip(xs, invs)]
         valid = np.ones(xs[0].shape, dtype=bool)
@@ -72,22 +85,16 @@ def _grid_distortions(ts: Sequence[int], xs: list[np.ndarray]) -> np.ndarray:
         # [0, c_0], [c_0, c_1], ..., [c_{n-2}, 1].
         cuts: list[np.ndarray] = []
         for i in range(n - 1):
-            a0, a1 = xs[i], xs[i + 1]
-            y0, y1 = a0 + invs[i], a1 + invs[i + 1]
-            c = (a1 * a1 + y1 * y1 - a0 * a0 - y0 * y0) / (2.0 * (a1 - a0))
+            c = _cut(xs[i], ys[i], xs[i + 1], ys[i + 1])
             valid &= np.isfinite(c) & (c > 0.0) & (c < 1.0)
             if cuts:
                 valid &= cuts[-1] < c
             cuts.append(c)
-        zeros = np.zeros(xs[0].shape)
-        lows = [zeros] + cuts
-        highs = cuts + [np.ones(xs[0].shape)]
+        lows = [0.0] + cuts
+        highs = cuts + [1.0]
         total = np.zeros(xs[0].shape)
         for i in range(n):
-            lo, hi, a = lows[i], highs[i], xs[i]
-            y = a + invs[i]
-            poly = lo * lo + lo * hi + hi * hi - 3.0 * a * (lo + hi) + 3.0 * (a * a + y * y)
-            total += (hi - lo) * poly / 3.0
+            total += _cell(lows[i], highs[i], xs[i], ys[i])
         total = np.where(valid, total, np.inf)
     return total
 
@@ -105,14 +112,76 @@ def _best_on_grids(
     return float(values[k]), tuple([float(x[k]) for x in xs])
 
 
-def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutcome:
-    """Exhaustive search for the best n-point quantizer on S_1 .. S_max_index.
+def _coarse_minimum(
+    n: int, grids: dict[int, np.ndarray]
+) -> Optional[tuple[float, tuple[int, ...], tuple[float, ...]]]:
+    """Cheapest valid n-tuple of states, by dynamic programming.
 
-    Assignments are scanned in lexicographic order and candidates within a
-    grid likewise, so ties break toward lower constraint indices, then lower
-    abscissas, and the outcome is deterministic.  iterations counts grid
-    passes (1 coarse + refine_rounds); converged is always True.  The
-    incumbent's distortion is recomputed through the quantizer module.
+    A state is a constraint index t with an abscissa on grids[t]; states are
+    ordered by (t, x).  Every validity test involves consecutive pairs
+    (ordered feet, a finite cut inside (0, 1)) or triples (ordered cuts), so
+    value[b, c] holds the least cost of the cells so far over valid prefixes
+    ending in states b, c.  Cells are added in order, as in _grid_distortions,
+    so the minimum is the same float an enumeration of every tuple finds.
+    Each step loops over the middle state: G^2 memory, O(n G^3) time for G
+    states.  Returns (value, indices, abscissas), or None when nothing is valid.
+    """
+    ts = np.concatenate([np.full(len(grid), t) for t, grid in grids.items()])
+    xs = np.concatenate(list(grids.values()))
+    invs = 1.0 / ts
+    ys = xs + invs
+    if n == 1:
+        values = _cell(0.0, 1.0, xs, ys)
+        k = int(np.argmin(values))
+        return float(values[k]), (int(ts[k]),), (float(xs[k]),)
+    feet = 2.0 * xs + invs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut = _cut(xs[:, None], ys[:, None], xs[None, :], ys[None, :])
+        pair = feet[:, None] < feet[None, :]
+        pair &= np.isfinite(cut) & (cut > 0.0) & (cut < 1.0)
+        value = np.where(pair, _cell(0.0, cut, xs[:, None], ys[:, None]), np.inf)
+    back = []
+    for _ in range(n - 2):
+        step_value = np.full_like(value, np.inf)
+        step_back = np.zeros(value.shape, dtype=np.intp)
+        for b in range(len(xs)):
+            (before,) = np.nonzero(pair[:, b])
+            (after,) = np.nonzero(pair[b])
+            if not (before.size and after.size):
+                continue
+            lo = cut[before, b][:, None]
+            hi = cut[b, after][None, :]
+            cand = value[before, b][:, None] + _cell(lo, hi, xs[b], ys[b])
+            cand = np.where(lo < hi, cand, np.inf)
+            k = np.argmin(cand, axis=0)
+            step_value[b, after] = cand[k, np.arange(after.size)]
+            step_back[b, after] = before[k]
+        value = step_value
+        back.append(step_back)
+    with np.errstate(invalid="ignore"):
+        total = np.where(pair, value + _cell(cut, 1.0, xs[None, :], ys[None, :]), np.inf)
+    b, c = np.unravel_index(int(np.argmin(total)), total.shape)
+    best = float(total[b, c])
+    if not math.isfinite(best):
+        return None
+    states = [int(b), int(c)]
+    for step_back in reversed(back):
+        states.insert(0, int(step_back[states[0], states[1]]))
+    return best, tuple([int(ts[g]) for g in states]), tuple([float(xs[g]) for g in states])
+
+
+def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutcome:
+    """Exact grid search for the best n-point quantizer on S_1 .. S_max_index.
+
+    A state is a constraint index t and an abscissa x on that constraint's
+    coarse grid; states are ordered by (t, x).  A dynamic program over
+    consecutive pairs of states finds the cheapest valid n-tuple, exactly
+    the minimum an enumeration of every tuple would find.  Exact ties break
+    by state order: the last two points are the first minimal pair, and
+    each earlier point is the first minimal predecessor of the pair after
+    it, so the outcome is deterministic.  iterations counts grid passes
+    (1 coarse + refine_rounds); converged is always True.  The incumbent's
+    distortion is recomputed through the quantizer module.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -134,14 +203,7 @@ def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutco
         bounds[j] = (lo - step, hi + step)
         coarse[j] = np.arange(lo - step, hi + step + step / 2, step)
 
-    best: Optional[tuple[float, tuple[int, ...], tuple[float, ...]]] = None
-    for ts in itertools.product(range(1, max_index + 1), repeat=n):
-        found = _best_on_grids(ts, [coarse[t] for t in ts])
-        if found is None:
-            continue
-        value, positions = found
-        if best is None or value < best[0]:
-            best = (value, ts, positions)
+    best = _coarse_minimum(n, coarse)
     if best is None:
         raise RuntimeError("no valid candidate on the coarse grid")
 

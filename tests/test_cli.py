@@ -11,7 +11,16 @@ from pathlib import Path
 
 import pytest
 
-from segquant import cli, closed_form, vn
+from segquant import (
+    ConstraintPoint,
+    Quantizer,
+    SolverOutcome,
+    cli,
+    closed_form,
+    distortion,
+    oracle,
+    vn,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -215,6 +224,23 @@ def test_verify_detects_a_corrupted_closed_form(monkeypatch, capsys):
     assert code == 1
     assert "FAIL" in captured.out
     assert captured.out.strip().splitlines()[-1] == "verify: FAIL"
+
+
+def test_verify_holds_the_oracle_to_its_grid_resolution(monkeypatch, capsys):
+    # feet 0.01 off the means: within 2 * grid_step, outside the 5e-3 that the
+    # refined grid guarantees at the default OracleConfig
+    def off_grid_search(n, config=None):
+        feet = [m + 0.01 for m in closed_form.unconstrained_means(n)]
+        q = Quantizer(tuple(ConstraintPoint(n, (f - 1 / n) / 2) for f in feet))
+        return SolverOutcome(quantizer=q, distortion=distortion(q), iterations=4, converged=True)
+
+    monkeypatch.setattr(oracle, "brute_force", off_grid_search)
+    code = cli.main(["verify", "--n-max", "2", "--oracle-n-max", "2"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 1
+    assert lines[2].startswith("oracle n=1 ") and lines[2].endswith(" FAIL")
+    assert lines[3].startswith("oracle n=2 ") and lines[3].endswith(" FAIL")
+    assert lines[-1] == "verify: FAIL"
 
 
 # -------------------------------------------------------------- exit codes
