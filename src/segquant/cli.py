@@ -32,6 +32,8 @@ from .quantizer import (
 _VERIFY_SOLVER = SolverConfig(tol=1e-13, max_iter=200_000)
 _FOOT_TOL = 1e-9
 _DISTORTION_TOL = 1e-12
+# a linear curve builds one row per n, about 600 B each, before printing any
+_CURVE_LINEAR_MAX_N = 100_000
 
 
 def _positive_int(text: str) -> int:
@@ -136,6 +138,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def _curve_ns(n_max: int, spacing: str) -> list[int]:
     if spacing == "linear":
+        if n_max > _CURVE_LINEAR_MAX_N:
+            raise ValueError(
+                f"linear spacing supports --n-max <= {_CURVE_LINEAR_MAX_N}, "
+                f"got {n_max}; use --spacing geometric"
+            )
         return list(range(1, n_max + 1))
     ns = []
     k = 1
@@ -189,6 +196,8 @@ def cmd_dimension(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # refuse an oracle range brute_force would reject, before any solve runs
+    oracle._check_full_search(args.oracle_n_max)
     lines = []
     all_ok = True
     for n in range(1, args.n_max + 1):

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
+# numpy is imported inside the search functions, so that `import segquant`
+# does not pay its start-up cost
 from . import quantizer as qz
 from .geometry import ConstraintPoint, embed, feasible_foot_range
 
@@ -54,6 +54,13 @@ class OracleConfig:
             raise ValueError(f"refine_rounds must be >= 0, got {self.refine_rounds!r}")
 
 
+def _check_full_search(n: int) -> None:
+    if n > _FULL_SEARCH_MAX_N:
+        raise BruteForceLimitError(
+            f"exhaustive search supports n <= {_FULL_SEARCH_MAX_N}, got {n}"
+        )
+
+
 def _cut(a0, y0, a1, y1):
     """Voronoi cut on the x-axis between the embedded points (a0, y0), (a1, y1)."""
     return (a1 * a1 + y1 * y1 - a0 * a0 - y0 * y0) / (2.0 * (a1 - a0))
@@ -73,6 +80,8 @@ def _grid_distortions(ts: Sequence[int], xs: list[np.ndarray]) -> np.ndarray:
     strictly increasing Voronoi breakpoints (anything else leaves some point
     with an empty cell).  Per-cell values use the exact quadratic integral.
     """
+    import numpy as np
+
     n = len(ts)
     invs = [1.0 / t for t in ts]
     ys = [x + inv for x, inv in zip(xs, invs)]
@@ -103,6 +112,8 @@ def _best_on_grids(
     ts: Sequence[int], grids: list[np.ndarray]
 ) -> Optional[tuple[float, tuple[float, ...]]]:
     """Cheapest valid candidate on the position grids, ties to lower abscissas."""
+    import numpy as np
+
     mesh = np.meshgrid(*grids, indexing="ij")
     xs = [m.reshape(-1) for m in mesh]
     values = _grid_distortions(ts, xs)
@@ -126,6 +137,8 @@ def _coarse_minimum(
     Each step loops over the middle state: G^2 memory, O(n G^3) time for G
     states.  Returns (value, indices, abscissas), or None when nothing is valid.
     """
+    import numpy as np
+
     ts = np.concatenate([np.full(len(grid), t) for t, grid in grids.items()])
     xs = np.concatenate(list(grids.values()))
     invs = 1.0 / ts
@@ -183,12 +196,11 @@ def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutco
     (1 coarse + refine_rounds); converged is always True.  The incumbent's
     distortion is recomputed through the quantizer module.
     """
+    import numpy as np
+
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if n > _FULL_SEARCH_MAX_N:
-        raise BruteForceLimitError(
-            f"exhaustive search supports n <= {_FULL_SEARCH_MAX_N}, got {n}"
-        )
+    _check_full_search(n)
     cfg = config if config is not None else OracleConfig()
     max_index = cfg.max_index if cfg.max_index is not None else n
     if max_index > n:
@@ -235,6 +247,8 @@ def riemann_distortion(q: "qz.Quantizer", panels: int = 100_000) -> float:
     Voronoi partition is involved, making this an independent cross-check of
     distortion().
     """
+    import numpy as np
+
     if isinstance(panels, bool) or not isinstance(panels, int) or panels < 1:
         raise ValueError(f"panels must be a positive integer, got {panels!r}")
     mids = (np.arange(panels) + 0.5) / panels

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
+# numpy is imported inside the solver functions, so that the closed-form paths
+# and `import segquant` do not pay its start-up cost
 from .geometry import ConstraintPoint, forward_map, inverse_map, voronoi_breakpoint
 from .measure import (
     UNIFORM,
@@ -213,6 +213,8 @@ def _perturbed_equispaced_feet(n: int) -> list[float]:
 
 
 def _raise_collapsed(cuts: np.ndarray) -> None:
+    import numpy as np
+
     clamped = np.clip(cuts, 0.0, 1.0)
     bad = np.nonzero(np.diff(clamped) <= 0)[0]
     i = int(bad[0])
@@ -247,6 +249,8 @@ def _solve_loop(
     state that is not valid is replaced by its sweep g_k, and the w
     sequence restarts.
     """
+    import numpy as np
+
     n = x0.size
     rho = math.cos(math.pi / (2 * n)) ** 2
     gamma = 2.0 / (2.0 - rho)
@@ -311,6 +315,8 @@ def solve_fixed_constraint(
     happened.  With max_iter=1 the result is exactly lloyd_step of the start.
     The fixed point has feet (2j - 1) / (2n) regardless of t.
     """
+    import numpy as np
+
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     cfg = config if config is not None else SolverConfig()

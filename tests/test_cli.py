@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from segquant import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parents[1] / "src"
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -60,6 +63,27 @@ def test_out_file_matches_stdout(tmp_path):
     assert to_file.returncode == 0 and to_file.stdout == ""
     to_stdout = run_cli("solve", "--n", "3")
     assert target.read_text() == to_stdout.stdout
+
+
+def test_closed_form_paths_never_import_numpy():
+    # numpy is loaded on the first solver or oracle call only
+    code = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import segquant
+        from segquant import cli
+        segquant.distortion(segquant.optimal_points(2))
+        for argv in (["solve", "--n", "2"], ["curve", "--n-max", "16"], ["dimension"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+        assert "numpy" not in sys.modules, "numpy was imported"
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ------------------------------------------------------------------- solve
@@ -194,6 +218,14 @@ def test_curve_geometric_includes_endpoint():
     assert [int(r["n"]) for r in rows] == [1, 2, 4, 8, 16, 20]
 
 
+def test_curve_linear_refuses_n_max_above_cap(capsys):
+    code = cli.main(["curve", "--n-max", "100001", "--spacing", "linear"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--n-max <= 100000" in captured.err
+
+
 def test_curve_json_format():
     proc = run_cli("curve", "--n-max", "4", "--format", "json")
     data = json.loads(proc.stdout)
@@ -241,6 +273,19 @@ def test_verify_holds_the_oracle_to_its_grid_resolution(monkeypatch, capsys):
     assert lines[2].startswith("oracle n=1 ") and lines[2].endswith(" FAIL")
     assert lines[3].startswith("oracle n=2 ") and lines[3].endswith(" FAIL")
     assert lines[-1] == "verify: FAIL"
+
+
+def test_verify_refuses_oracle_n_max_above_cap_before_solving(monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("verify solved before refusing --oracle-n-max")
+
+    monkeypatch.setattr(cli, "solve_fixed_constraint", no_solve)
+    cap = oracle._FULL_SEARCH_MAX_N
+    code = cli.main(["verify", "--n-max", "2", "--oracle-n-max", str(cap + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"exhaustive search supports n <= {cap}, got {cap + 1}" in captured.err
 
 
 # -------------------------------------------------------------- exit codes
