@@ -21,7 +21,7 @@ from segquant import (
 
 def describe(n: int) -> None:
     q = optimal_points(n)
-    cuts = partition_of(q).breakpoints
+    cuts = partition_of(q)
     print(f"n = {n}: all points on S_{n}, V_n = {vn(n):.12f}")
     means = unconstrained_means(n)
     for j, p in enumerate(q.points):

@@ -16,13 +16,9 @@ from .asymptotics import (
     fit_log_log,
 )
 from .closed_form import (
-    ClosedFormReport,
-    coefficient,
-    dimension,
     excess_exact,
     optimal_abscissas_exact,
     optimal_points,
-    report,
     unconstrained_means,
     v_infinity,
     vn,
@@ -45,7 +41,6 @@ from .measure import (
     SupportInterval,
     UniformSegmentMeasure,
     ZeroMassError,
-    optimal_abscissa,
     optimal_interval_distortion,
 )
 from .oracle import (
@@ -56,11 +51,9 @@ from .oracle import (
 )
 from .quantizer import (
     InvalidQuantizerError,
-    Partition,
     Quantizer,
     SolverConfig,
     SolverOutcome,
-    best_constraint_index,
     distortion,
     lloyd_step,
     partition_of,
@@ -71,12 +64,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BruteForceLimitError",
-    "ClosedFormReport",
     "ConstraintPoint",
     "DegenerateBoundaryError",
     "InvalidQuantizerError",
     "OracleConfig",
-    "Partition",
     "Point",
     "Quantizer",
     "RegressionEstimate",
@@ -86,12 +77,9 @@ __all__ = [
     "UNIFORM",
     "UniformSegmentMeasure",
     "ZeroMassError",
-    "best_constraint_index",
     "bisector_abscissa",
     "brute_force",
-    "coefficient",
     "coefficient_estimate",
-    "dimension",
     "dimension_direct",
     "dimension_regression",
     "distortion",
@@ -103,12 +91,10 @@ __all__ = [
     "forward_map",
     "inverse_map",
     "lloyd_step",
-    "optimal_abscissa",
     "optimal_abscissas_exact",
     "optimal_interval_distortion",
     "optimal_points",
     "partition_of",
-    "report",
     "riemann_distortion",
     "solve_fixed_constraint",
     "squared_distance",

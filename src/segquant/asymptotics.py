@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import closed_form
+from .geometry import _check_int
 
 
 def excess(n: int) -> float:
@@ -41,8 +42,7 @@ def dimension_direct(n: int) -> float:
     Needs n >= 2 and excess(n) < 1 so that the denominator is positive; at
     n = 1 the excess is 25/24 > 1 and the estimate is undefined.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-        raise ValueError(f"direct estimate needs an integer n >= 2, got {n!r}")
+    _check_int("n", n, minimum=2)
     e = excess(n)
     if e >= 1:
         raise ValueError(f"direct estimate needs excess < 1, got {e!r} at n={n}")
@@ -105,13 +105,11 @@ def dimension_regression(
     Takes `samples` geometrically spaced integers in [n_min, n_max]
     (deduplicated after rounding) and fits log excess against log n.
     """
-    for label, v in (("n_min", n_min), ("n_max", n_max)):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 2:
-            raise ValueError(f"{label} must be an integer >= 2, got {v!r}")
+    _check_int("n_min", n_min, minimum=2)
+    _check_int("n_max", n_max, minimum=2)
     if not n_min < n_max:
         raise ValueError(f"need n_min < n_max, got {n_min} >= {n_max}")
-    if not isinstance(samples, int) or samples < 2:
-        raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
+    _check_int("samples", samples, minimum=2)
     ns = _geometric_samples(n_min, n_max, samples)
     slope, intercept, residual = fit_log_log(ns, [excess(n) for n in ns])
     if slope == 0:

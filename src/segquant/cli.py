@@ -84,7 +84,7 @@ def _solve_record(n: int, method: str, q, dist: float) -> dict:
         "method": method,
         "constraint_index": q.points[0].j,
         "points": points,
-        "breakpoints": [float(c) for c in partition_of(q).breakpoints],
+        "breakpoints": [float(c) for c in partition_of(q)],
         "distortion": float(dist),
         "excess": float(excess),
         "scaled_excess": float(n * excess),

@@ -17,10 +17,9 @@ float once at the boundary; the *_exact variants expose the rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import ConstraintPoint
+from .geometry import ConstraintPoint, _check_int
 from .quantizer import Quantizer
 
 _MAX_N = 2**31 - 1
@@ -28,16 +27,9 @@ _MAX_N = 2**31 - 1
 V_INFINITY_EXACT = Fraction(1, 6)
 
 
-def _check_n(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if n > _MAX_N:
-        raise ValueError(f"n must be at most {_MAX_N}, got {n}")
-
-
 def vn_exact(n: int) -> Fraction:
     """Optimal n-point error (4 n^2 + 12 n + 13) / (24 n^2) as a rational."""
-    _check_n(n)
+    _check_int("n", n, maximum=_MAX_N)
     return Fraction(4 * n * n + 12 * n + 13, 24 * n * n)
 
 
@@ -58,7 +50,7 @@ def excess_exact(n: int) -> Fraction:
 
 def optimal_abscissas_exact(n: int) -> list[Fraction]:
     """Abscissas (2j - 3) / (4n), j = 1..n, of the optimal points on S_n."""
-    _check_n(n)
+    _check_int("n", n, maximum=_MAX_N)
     return [Fraction(2 * j - 3, 4 * n) for j in range(1, n + 1)]
 
 
@@ -79,44 +71,5 @@ def unconstrained_means(n: int) -> list[float]:
     These are the classic optimal sites for uniform quantization on [0, 1];
     in exact arithmetic they equal forward_map of optimal_points(n).
     """
-    _check_n(n)
+    _check_int("n", n, maximum=_MAX_N)
     return [float(Fraction(2 * j - 1, 2 * n)) for j in range(1, n + 1)]
-
-
-def dimension() -> float:
-    """Constrained quantization dimension of the uniform segment: 2."""
-    return 2.0
-
-
-def coefficient() -> float:
-    """Constrained quantization coefficient lim n * (V_n - V_inf) = 1/2."""
-    return 0.5
-
-
-@dataclass(frozen=True)
-class ClosedFormReport:
-    """Float summary of the closed-form solution for one n."""
-
-    n: int
-    points: Quantizer
-    vn: float
-    v_infinity: float
-    excess: float
-    scaled_excess: float
-
-    def __post_init__(self) -> None:
-        if self.excess <= 0:
-            raise ValueError(f"excess must be positive, got {self.excess!r}")
-
-
-def report(n: int) -> ClosedFormReport:
-    """Closed-form report for n: points, V_n, V_inf, excess, n * excess."""
-    ex = excess_exact(n)
-    return ClosedFormReport(
-        n=n,
-        points=optimal_points(n),
-        vn=vn(n),
-        v_infinity=v_infinity(),
-        excess=float(ex),
-        scaled_excess=float(n * ex),
-    )

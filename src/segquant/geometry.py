@@ -21,15 +21,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 
 class DegenerateBoundaryError(ValueError):
     """The bisector of the two given points never crosses the support axis."""
 
 
-def _check_index(j: int) -> None:
-    if isinstance(j, bool) or not isinstance(j, int) or j < 1:
-        raise ValueError(f"constraint index must be a positive integer, got {j!r}")
+def _check_int(
+    label: str, value: int, minimum: int = 1, maximum: Optional[int] = None
+) -> None:
+    """The package's one integer check: an int (not a bool) in [minimum, maximum]."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < minimum
+        or (maximum is not None and value > maximum)
+    ):
+        bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ValueError(f"{label} must be an integer {bounds}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +65,7 @@ class ConstraintPoint:
     x: float
 
     def __post_init__(self) -> None:
-        _check_index(self.j)
+        _check_int("constraint index", self.j)
         if not math.isfinite(self.x):
             raise ValueError(f"abscissa must be finite, got {self.x!r}")
         if not -Fraction(1, self.j) <= self.x <= 1:
@@ -89,7 +99,7 @@ def inverse_map(j: int, foot: float) -> ConstraintPoint:
 
     Rejects feet whose preimage abscissa (foot - 1/j)/2 leaves [-1/j, 1].
     """
-    _check_index(j)
+    _check_int("constraint index", j)
     x = (foot - Fraction(1, j)) / 2
     return ConstraintPoint(j, x)
 
@@ -101,7 +111,7 @@ def feasible_foot_range(j: int) -> tuple[float, float]:
     exactly [0, 1]; this returns that abscissa range.  As j grows it tends to
     (0, 1/2).
     """
-    _check_index(j)
+    _check_int("constraint index", j)
     half = Fraction(1, 2 * j)
     return (float(-half), float(Fraction(1, 2) - half))
 

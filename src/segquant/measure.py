@@ -6,22 +6,16 @@ coordinates (a, b) is the exact quadratic integral
     int_lo^hi ((x - a)^2 + b^2) dx
         = (hi - lo)/3 * (lo^2 + lo*hi + hi^2 - 3a(lo + hi) + 3a^2 + 3b^2).
 
-The canonical instance is the uniform (Lebesgue) measure on [0, 1]; a generic
-density hook is provided for other distributions, in which case the integrals
-fall back to adaptive quadrature with absolute tolerance 1e-12.  The uniform
-path is pure scalar arithmetic and is exact when given Fraction endpoints.
+The measure is the uniform (Lebesgue) measure on [0, 1].  Every integral is
+pure scalar arithmetic and is exact when given Fraction endpoints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Optional
+from dataclasses import dataclass
 
-from .geometry import ConstraintPoint, Point, embed
-
-_QUAD_TOL = 1e-12
+from .geometry import ConstraintPoint, Point, _check_int, embed
 
 
 class ZeroMassError(ValueError):
@@ -46,63 +40,29 @@ class SupportInterval:
         return self.hi - self.lo
 
 
-def _quad(f: Callable[[float], float], lo: float, hi: float) -> float:
-    from scipy.integrate import quad
-
-    value, _ = quad(f, lo, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-    return value
-
-
 @dataclass(frozen=True)
 class UniformSegmentMeasure:
-    """Probability measure on [0, 1] x {0}; uniform unless a density is given.
-
-    density, when provided, is a nonnegative function on [0, 1] integrating
-    to 1; all integrals then go through adaptive quadrature instead of the
-    exact uniform closed forms.
-    """
-
-    density: Optional[Callable[[float], float]] = field(default=None)
+    """Uniform probability measure on [0, 1] x {0}."""
 
     def interval_mass(self, iv: SupportInterval) -> float:
         """Measure of a subinterval of the support."""
-        if self.density is None:
-            return iv.length
-        return _quad(self.density, iv.lo, iv.hi)
+        return iv.length
 
     def conditional_mean(self, iv: SupportInterval) -> Point:
         """Barycenter of the measure restricted to iv, as a support point."""
-        mass = self.interval_mass(iv)
-        if mass == 0:
+        if iv.length == 0:
             raise ZeroMassError(f"interval [{iv.lo!r}, {iv.hi!r}] carries no mass")
-        if self.density is None:
-            return Point((iv.lo + iv.hi) / 2, 0)
-        first_moment = _quad(lambda x: x * self.density(x), iv.lo, iv.hi)
-        return Point(first_moment / mass, 0.0)
+        return Point((iv.lo + iv.hi) / 2, 0)
 
     def interval_distortion(self, iv: SupportInterval, cp: ConstraintPoint) -> float:
         """Integral of the squared distance to embed(cp) over iv."""
         p = embed(cp)
-        if self.density is not None:
-            return _quad(
-                lambda x: ((x - p.x) ** 2 + p.y * p.y) * self.density(x), iv.lo, iv.hi
-            )
         lo, hi = iv.lo, iv.hi
         poly = lo * lo + lo * hi + hi * hi - 3 * p.x * (lo + hi) + 3 * (p.x * p.x + p.y * p.y)
         return (hi - lo) * poly / 3
 
 
 UNIFORM = UniformSegmentMeasure()
-
-
-def optimal_abscissa(iv: SupportInterval, t: int):
-    """Abscissa on S_t minimizing the uniform distortion of the cell iv.
-
-    The cell distortion is a strictly convex quadratic in the abscissa with
-    unique minimizer ((lo + hi) t - 2) / (4 t).
-    """
-    _check_t(t)
-    return ((iv.lo + iv.hi) * t - 2) / (4 * t)
 
 
 def optimal_interval_distortion(iv: SupportInterval, t: int) -> float:
@@ -113,13 +73,8 @@ def optimal_interval_distortion(iv: SupportInterval, t: int) -> float:
     strictly decreasing in t: higher-index constraints sit closer to the
     support and always win.
     """
-    _check_t(t)
+    _check_int("constraint index", t)
     lo, hi = iv.lo, iv.hi
     quad_part = 5 * lo * lo + 2 * lo * hi + 5 * hi * hi
     num = t * t * quad_part + 12 * t * (lo + hi) + 12
     return (hi - lo) * num / (24 * t * t)
-
-
-def _check_t(t: int) -> None:
-    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
-        raise ValueError(f"constraint index must be a positive integer, got {t!r}")

@@ -19,17 +19,18 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 # numpy is imported inside the solver functions, so that the closed-form paths
 # and `import segquant` do not pay its start-up cost
-from .geometry import ConstraintPoint, forward_map, inverse_map, voronoi_breakpoint
-from .measure import (
-    UNIFORM,
-    SupportInterval,
-    ZeroMassError,
-    optimal_interval_distortion,
+from .geometry import (
+    ConstraintPoint,
+    _check_int,
+    forward_map,
+    inverse_map,
+    voronoi_breakpoint,
 )
+from .measure import UNIFORM, SupportInterval
 
 log = logging.getLogger(__name__)
 
@@ -83,39 +84,13 @@ class Quantizer:
         return tuple([p.x for p in self.points])
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Breakpoints 0 = c_0 < c_1 < ... < c_n = 1 of the support segment."""
-
-    breakpoints: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        cuts = tuple(self.breakpoints)
-        object.__setattr__(self, "breakpoints", cuts)
-        if len(cuts) < 2 or cuts[0] != 0 or cuts[-1] != 1:
-            raise InvalidQuantizerError(
-                f"breakpoints must run from 0 to 1, got {cuts!r}"
-            )
-        for i in range(len(cuts) - 1):
-            if not cuts[i] < cuts[i + 1]:
-                raise InvalidQuantizerError(
-                    f"breakpoints must be strictly increasing, cell {i} collapses",
-                    index=i,
-                )
-
-    @property
-    def cells(self) -> tuple[SupportInterval, ...]:
-        cuts = self.breakpoints
-        return tuple(
-            [SupportInterval(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
-        )
-
-
-def partition_of(q: Quantizer) -> Partition:
+def partition_of(q: Quantizer) -> tuple[float, ...]:
     """Voronoi partition of the support induced by the quantizer.
 
-    Interior breakpoints are clamped into [0, 1]; if any cell then collapses
-    the quantizer has an empty cell and is rejected.
+    Returns the tuple of breakpoints 0 = c_0 < c_1 < ... < c_n = 1; cell i,
+    the one point i quantizes, is [c_i, c_{i+1}].  Interior breakpoints are
+    clamped into [0, 1]; if any cell then collapses the quantizer has an
+    empty cell and is rejected.
     """
     cuts = [0]
     for left, right in zip(q.points, q.points[1:]):
@@ -127,15 +102,19 @@ def partition_of(q: Quantizer) -> Partition:
             raise InvalidQuantizerError(
                 f"cell {i} of the induced partition is empty", index=i
             )
-    return Partition(tuple(cuts))
+    return tuple(cuts)
 
 
 def distortion(q: Quantizer) -> float:
-    """Mean squared distance from the uniform support to the quantizer."""
-    part = partition_of(q)
+    """Mean squared distance from the uniform support to the quantizer.
+
+    Sums the exact integral over each cell [c_i, c_{i+1}], taking
+    consecutive pairs of the breakpoint tuple that partition_of returns.
+    """
+    cuts = partition_of(q)
     return sum(
-        UNIFORM.interval_distortion(cell, p)
-        for cell, p in zip(part.cells, q.points)
+        UNIFORM.interval_distortion(SupportInterval(lo, hi), p)
+        for lo, hi, p in zip(cuts, cuts[1:], q.points)
     )
 
 
@@ -146,17 +125,16 @@ def lloyd_step(q: Quantizer, t: int) -> Quantizer:
     barycenter.  A barycenter whose preimage abscissa leaves [-1/t, 1] is
     clamped to the segment end and the event is logged.
     """
+    _check_int("constraint index", t)
     for p in q.points:
         if p.j != t:
             raise ValueError(f"point {p!r} is not on constraint {t}")
-    part = partition_of(q)
+    cuts = partition_of(q)
     lo, hi = -Fraction(1, t), 1
     new_points = []
-    for i, cell in enumerate(part.cells):
-        try:
-            mean = UNIFORM.conditional_mean(cell)
-        except ZeroMassError as exc:
-            raise InvalidQuantizerError(f"cell {i} has zero mass", index=i) from exc
+    # partition_of leaves every cell of positive length, hence positive mass
+    for i, (c_lo, c_hi) in enumerate(zip(cuts, cuts[1:])):
+        mean = UNIFORM.conditional_mean(SupportInterval(c_lo, c_hi))
         x = (mean.x - Fraction(1, t)) / 2
         if x < lo or x > hi:
             log.warning("cell %d barycenter leaves S_%d, clamping abscissa %r", i, t, x)
@@ -185,8 +163,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be a positive finite float, got {self.tol!r}")
-        if not isinstance(self.max_iter, int) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
+        _check_int("max_iter", self.max_iter)
         if self.init not in ("equispaced-feet", "explicit"):
             raise ValueError(f"unknown init mode {self.init!r}")
         if self.init == "explicit" and not self.init_feet:
@@ -317,8 +294,7 @@ def solve_fixed_constraint(
     """
     import numpy as np
 
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_int("n", n)
     cfg = config if config is not None else SolverConfig()
     if cfg.init == "equispaced-feet":
         feet = _perturbed_equispaced_feet(n)
@@ -339,20 +315,3 @@ def solve_fixed_constraint(
         iterations=iterations,
         converged=movement <= cfg.tol,
     )
-
-
-def best_constraint_index(iv: SupportInterval, n: int) -> int:
-    """Constraint index in 1..n whose best point quantizes iv cheapest.
-
-    Computed by direct comparison; by the strict monotonicity of the
-    per-interval optimum in the index, the answer is always n.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    best_t = 1
-    best_v = optimal_interval_distortion(iv, 1)
-    for t in range(2, n + 1):
-        v = optimal_interval_distortion(iv, t)
-        if v < best_v:
-            best_t, best_v = t, v
-    return best_t

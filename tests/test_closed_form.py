@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction as F
 
 import pytest
 
 from segquant import (
-    ClosedFormReport,
     ConstraintPoint,
     distortion,
     excess_exact,
@@ -16,7 +14,6 @@ from segquant import (
     lloyd_step,
     optimal_abscissas_exact,
     optimal_points,
-    report,
     unconstrained_means,
     v_infinity,
     vn,
@@ -105,11 +102,6 @@ def test_vn_strictly_decreasing():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_dimension_and_coefficient_constants():
-    assert closed_form.dimension() == 2.0
-    assert closed_form.coefficient() == 0.5
-
-
 def test_scaled_excess_approaches_the_coefficient():
     # n (V_n - V_inf) = 1/2 + 13 / (24 n)
     for n in (1, 10, 1000):
@@ -124,17 +116,3 @@ def test_n_validation():
     with pytest.raises(ValueError):
         vn_exact(2**31)
     assert vn_exact(2**31 - 1) > F(1, 6)
-
-
-def test_report_fields():
-    r = report(2)
-    assert isinstance(r, ClosedFormReport)
-    assert r.n == 2
-    assert r.vn == 53 / 96
-    assert r.v_infinity == float(F(1, 6))
-    assert math.isclose(r.excess, float(F(53, 96) - F(1, 6)), rel_tol=1e-15)
-    assert math.isclose(r.scaled_excess, float(2 * (F(53, 96) - F(1, 6))), rel_tol=1e-15)
-    assert r.points.abscissas() == (-0.125, 0.125)
-    with pytest.raises(ValueError):
-        ClosedFormReport(n=1, points=optimal_points(1), vn=1.0,
-                         v_infinity=1.0, excess=0.0, scaled_excess=0.0)

