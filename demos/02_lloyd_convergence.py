@@ -37,7 +37,7 @@ def plain_lloyd_rate(n: int, sweeps: int) -> float:
 
 
 def sweeps_needed(n: int, tol: float) -> int:
-    out = solve_fixed_constraint(n, n, SolverConfig(tol=tol, max_iter=100_000))
+    out = solve_fixed_constraint(n, n, SolverConfig(tol=tol))
     assert out.converged
     return out.iterations
 

@@ -40,7 +40,6 @@ from .measure import (
     UNIFORM,
     SupportInterval,
     UniformSegmentMeasure,
-    ZeroMassError,
     optimal_interval_distortion,
 )
 from .oracle import (
@@ -76,7 +75,6 @@ __all__ = [
     "SupportInterval",
     "UNIFORM",
     "UniformSegmentMeasure",
-    "ZeroMassError",
     "bisector_abscissa",
     "brute_force",
     "coefficient_estimate",

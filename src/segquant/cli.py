@@ -26,10 +26,6 @@ from .quantizer import (
     solve_fixed_constraint,
 )
 
-# movement tolerance 1e-12 stalls near foot deviation 1.7e-9 at n=64 (the
-# Lloyd map contracts at rate cos^2(pi/128) there), so verification solves
-# run tighter than the library defaults
-_VERIFY_SOLVER = SolverConfig(tol=1e-13, max_iter=200_000)
 _FOOT_TOL = 1e-9
 _DISTORTION_TOL = 1e-12
 # a linear curve builds one row per n, about 600 B each, before printing any
@@ -202,7 +198,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     all_ok = True
     for n in range(1, args.n_max + 1):
         means = closed_form.unconstrained_means(n)
-        outcome = solve_fixed_constraint(n, n, _VERIFY_SOLVER)
+        outcome = solve_fixed_constraint(n, n)
         feet = outcome.quantizer.feet()
         foot_dev = max(abs(f - m) for f, m in zip(feet, means))
         dist_dev = abs(outcome.distortion - closed_form.vn(n))
@@ -248,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("closed-form", "lloyd", "brute-force"),
         default="closed-form",
     )
-    p.add_argument("--tol", type=_positive_float, default=1e-12)
-    p.add_argument("--max-iter", type=_positive_int, default=10_000)
-    p.add_argument("--grid-step", type=_positive_float, default=1e-2)
+    p.add_argument("--tol", type=_positive_float, default=SolverConfig.tol)
+    p.add_argument("--max-iter", type=_positive_int, default=SolverConfig.max_iter)
+    p.add_argument("--grid-step", type=_positive_float, default=oracle.OracleConfig.grid_step)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)

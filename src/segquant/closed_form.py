@@ -20,8 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .geometry import ConstraintPoint, _check_int
-from .quantizer import Quantizer
+from .quantizer import _MAX_POINTS, Quantizer
 
+# vn_exact is O(1) in n; the point lists stop at quantizer._MAX_POINTS
 _MAX_N = 2**31 - 1
 
 V_INFINITY_EXACT = Fraction(1, 6)
@@ -50,7 +51,7 @@ def excess_exact(n: int) -> Fraction:
 
 def optimal_abscissas_exact(n: int) -> list[Fraction]:
     """Abscissas (2j - 3) / (4n), j = 1..n, of the optimal points on S_n."""
-    _check_int("n", n, maximum=_MAX_N)
+    _check_int("n", n, maximum=_MAX_POINTS)
     return [Fraction(2 * j - 3, 4 * n) for j in range(1, n + 1)]
 
 
@@ -71,5 +72,5 @@ def unconstrained_means(n: int) -> list[float]:
     These are the classic optimal sites for uniform quantization on [0, 1];
     in exact arithmetic they equal forward_map of optimal_points(n).
     """
-    _check_int("n", n, maximum=_MAX_N)
+    _check_int("n", n, maximum=_MAX_POINTS)
     return [float(Fraction(2 * j - 1, 2 * n)) for j in range(1, n + 1)]

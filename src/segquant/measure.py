@@ -15,11 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import ConstraintPoint, Point, _check_int, embed
-
-
-class ZeroMassError(ValueError):
-    """Conditional expectation requested on a set of measure zero."""
+from .geometry import ConstraintPoint, _check_int, embed
 
 
 @dataclass(frozen=True)
@@ -35,24 +31,10 @@ class SupportInterval:
         if not 0 <= self.lo <= self.hi <= 1:
             raise ValueError(f"need 0 <= lo <= hi <= 1, got [{self.lo!r}, {self.hi!r}]")
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class UniformSegmentMeasure:
     """Uniform probability measure on [0, 1] x {0}."""
-
-    def interval_mass(self, iv: SupportInterval) -> float:
-        """Measure of a subinterval of the support."""
-        return iv.length
-
-    def conditional_mean(self, iv: SupportInterval) -> Point:
-        """Barycenter of the measure restricted to iv, as a support point."""
-        if iv.length == 0:
-            raise ZeroMassError(f"interval [{iv.lo!r}, {iv.hi!r}] carries no mass")
-        return Point((iv.lo + iv.hi) / 2, 0)
 
     def interval_distortion(self, iv: SupportInterval, cp: ConstraintPoint) -> float:
         """Integral of the squared distance to embed(cp) over iv."""

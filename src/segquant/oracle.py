@@ -28,6 +28,11 @@ _FULL_SEARCH_MAX_N = 3
 # and running minima) plus one temporary of that size: 80 MB each at 10**7
 # panels, a 240 MB peak (tracemalloc reads 24 MB at 10**6)
 _RIEMANN_MAX_PANELS = 10**7
+# the coarse dynamic program over G grid states holds about five G x G float64
+# tables (8 MB each at G = 1000) plus one index table per point after the
+# second, in O(n G^3) time: n = 3 at G = 996 takes about 1 s on 2 vCPUs and a
+# 47 MiB tracemalloc peak; the default grid_step gives G = 53 n (318 at n = 6)
+_MAX_GRID_STATES = 1000
 
 
 class BruteForceLimitError(ValueError):
@@ -209,11 +214,18 @@ def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutco
         )
     step = cfg.grid_step
     bounds = {}
-    coarse = {}
     for j in range(1, max_index + 1):
         lo, hi = feasible_foot_range(j)
         bounds[j] = (lo - step, hi + step)
-        coarse[j] = np.arange(lo - step, hi + step + step / 2, step)
+    # the grid lengths np.arange will give, ceil((stop - start) / step), counted
+    # before anything is allocated; a subnormal step makes them infinite
+    sizes = [(hi + step / 2 - lo) / step for lo, hi in bounds.values()]
+    if sum(sizes) > _MAX_GRID_STATES or sum(map(math.ceil, sizes)) > _MAX_GRID_STATES:
+        raise BruteForceLimitError(
+            f"grid_step {step!r} makes more than {_MAX_GRID_STATES} grid states "
+            f"on S_1 .. S_{max_index}; use a coarser grid_step"
+        )
+    coarse = {j: np.arange(lo, hi + step / 2, step) for j, (lo, hi) in bounds.items()}
 
     best = _coarse_minimum(n, coarse)
     if best is None:

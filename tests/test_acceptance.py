@@ -10,6 +10,7 @@ its runtime budget.  Run the whole gate with
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -48,6 +49,7 @@ from segquant import (
 from conftest import random_same_constraint_quantizer
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parents[1] / "src"
 
 
 @pytest.fixture
@@ -90,9 +92,8 @@ def test_criterion_1_closed_form_identity(criterion):
 
 
 def test_criterion_2_solver_equivalence(criterion):
-    # the movement criterion stalls around foot deviation 1.7e-9 at the
-    # library-default tol 1e-12, so the gate solves one decade tighter
-    config = SolverConfig(tol=1e-13, max_iter=200_000)
+    # the library defaults, as `segquant verify` runs them
+    config = SolverConfig()
 
     def body():
         for n in range(1, 65):
@@ -213,7 +214,10 @@ def test_criterion_6_property_suite(criterion):
 def test_criterion_7_cli_golden_files(criterion):
     def run_cli(*args):
         return subprocess.run(
-            [sys.executable, "-m", "segquant", *args], capture_output=True, text=True
+            [sys.executable, "-m", "segquant", *args],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
         )
 
     def body():

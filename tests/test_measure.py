@@ -1,4 +1,4 @@
-"""Uniform measure integrals: masses, means, exact cell distortions."""
+"""Uniform measure integrals: exact cell distortions and their minimum on S_t."""
 
 from __future__ import annotations
 
@@ -11,9 +11,7 @@ import pytest
 from segquant import (
     UNIFORM,
     ConstraintPoint,
-    Point,
     SupportInterval,
-    ZeroMassError,
     embed,
     optimal_interval_distortion,
 )
@@ -26,24 +24,6 @@ def test_interval_validation():
         SupportInterval(0.5, 1.5)
     with pytest.raises(ValueError):
         SupportInterval(0.7, 0.3)
-
-
-def test_interval_mass_values():
-    assert UNIFORM.interval_mass(SupportInterval(0, 1)) == 1
-    assert UNIFORM.interval_mass(SupportInterval(0.25, 0.75)) == 0.5
-    assert UNIFORM.interval_mass(SupportInterval(F(1, 3), F(1, 3))) == 0
-
-
-def test_conditional_mean_values():
-    assert UNIFORM.conditional_mean(SupportInterval(0, 1)) == Point(0.5, 0)
-    assert UNIFORM.conditional_mean(SupportInterval(0.5, 1)) == Point(0.75, 0)
-    with pytest.raises(ZeroMassError):
-        UNIFORM.conditional_mean(SupportInterval(0.4, 0.4))
-
-
-def test_conditional_mean_exact_in_rational_mode():
-    mean = UNIFORM.conditional_mean(SupportInterval(F(1, 3), F(1, 2)))
-    assert mean.x == F(5, 12)
 
 
 def test_interval_distortion_values():
@@ -109,23 +89,3 @@ def test_optimal_interval_distortion_strictly_decreasing_in_t():
         values = [optimal_interval_distortion(iv, t) for t in range(1, 11)]
         assert all(a > b for a, b in zip(values, values[1:]))
         count += 1
-
-
-def test_conditional_mean_minimizes_distortion():
-    # perturbing the unconstrained center away from the barycenter strictly
-    # increases int |(x,0) - c|^2 dx; the integral is evaluated directly here
-    rng = np.random.default_rng(17)
-
-    def cell_distortion(lo: float, hi: float, cx: float, cy: float) -> float:
-        return ((hi - cx) ** 3 - (lo - cx) ** 3) / 3 + cy * cy * (hi - lo)
-
-    for _ in range(50):
-        lo, hi = np.sort(rng.uniform(0.0, 1.0, 2))
-        if hi - lo < 1e-3:
-            continue
-        mean = UNIFORM.conditional_mean(SupportInterval(float(lo), float(hi)))
-        base = cell_distortion(lo, hi, mean.x, mean.y)
-        for _ in range(5):
-            dx, dy = rng.normal(0.0, 1e-3, 2)
-            moved = cell_distortion(lo, hi, mean.x + dx, mean.y + dy)
-            assert moved >= base

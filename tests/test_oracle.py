@@ -24,6 +24,7 @@ from segquant import (
     vn,
 )
 from segquant.oracle import (
+    _MAX_GRID_STATES,
     _RIEMANN_MAX_PANELS,
     _best_on_grids,
     _coarse_minimum,
@@ -162,6 +163,27 @@ def test_brute_force_limits():
         brute_force(0)
     with pytest.raises(ValueError):
         brute_force(2, OracleConfig(max_index=3))
+
+
+def test_brute_force_refuses_grid_states_above_cap_before_allocating(monkeypatch):
+    class Allocated(Exception):
+        pass
+
+    def arange(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr(np, "arange", arange)
+    # 10,006 states at n = 2 (G x G tables of 764 MB), a 3.8 GB grid at n = 1,
+    # and an infinite count from a subnormal step
+    for n, step in ((2, 1e-4), (1, 1e-9), (1, 5e-324)):
+        with pytest.raises(BruteForceLimitError):
+            brute_force(n, OracleConfig(grid_step=step))
+    # S_1's grid has ceil(0.5 / step + 2.5) states: one above the cap, then
+    # exactly the cap, where the check passes and the first allocation is reached
+    with pytest.raises(BruteForceLimitError):
+        brute_force(1, OracleConfig(grid_step=0.5 / (_MAX_GRID_STATES - 2)))
+    with pytest.raises(Allocated):
+        brute_force(1, OracleConfig(grid_step=0.5 / (_MAX_GRID_STATES - 3)))
 
 
 def _coarse_grids(max_index, step):

@@ -239,6 +239,16 @@ def test_solver_input_validation():
         solve_fixed_constraint(2, 1, SolverConfig(init="explicit", init_feet=(0.75, 0.25)))
 
 
+def test_solver_config_refuses_unused_init_feet_and_stays_hashable():
+    # without init="explicit" the feet would be silently ignored
+    with pytest.raises(ValueError):
+        SolverConfig(init_feet=(0.1, 0.2, 0.3))
+    listed = SolverConfig(init="explicit", init_feet=[0.1, 0.2, 0.3])
+    tupled = SolverConfig(init="explicit", init_feet=(0.1, 0.2, 0.3))
+    assert listed.init_feet == (0.1, 0.2, 0.3)
+    assert listed == tupled and hash(listed) == hash(tupled)
+
+
 def test_solver_iteration_count_scales_with_tolerance():
     loose = solve_fixed_constraint(8, 8, SolverConfig(tol=1e-4))
     tight = solve_fixed_constraint(8, 8, SolverConfig(tol=1e-12))
@@ -246,7 +256,7 @@ def test_solver_iteration_count_scales_with_tolerance():
     assert loose.iterations < tight.iterations
 
 
-# the configuration of the acceptance gate and `segquant verify`
+# the benchmark's lloyd-sweep configuration
 GATE = SolverConfig(tol=1e-13, max_iter=200_000)
 
 

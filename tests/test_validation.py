@@ -1,10 +1,13 @@
-"""Every public integer parameter refuses bool, float, str and None alike."""
+"""Every public integer parameter refuses bool, float, str and None alike,
+and every list of n points refuses n above its cap."""
 
 from __future__ import annotations
 
 import pytest
 
 import segquant as sq
+from segquant import cli, closed_form, quantizer
+from segquant.quantizer import _MAX_POINTS
 
 UNIT = sq.SupportInterval(0, 1)
 
@@ -55,3 +58,31 @@ def test_integer_parameters_refuse_non_integers(case):
     for bad in bad_values:
         with pytest.raises(ValueError):
             call(bad)
+
+
+def test_point_lists_refuse_n_above_cap_before_allocating(monkeypatch, capsys):
+    class Allocated(Exception):
+        pass
+
+    def allocate(*args):
+        raise Allocated
+
+    # the first per-point work of each path raises instead of running
+    monkeypatch.setattr(closed_form, "Fraction", allocate)
+    monkeypatch.setattr(quantizer, "_perturbed_equispaced_feet", allocate)
+    calls = [
+        sq.optimal_abscissas_exact,
+        sq.optimal_points,
+        sq.unconstrained_means,
+        lambda n: sq.solve_fixed_constraint(n, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call(_MAX_POINTS + 1)
+        # at the cap the check passes and the first allocation is reached
+        with pytest.raises(Allocated):
+            call(_MAX_POINTS)
+    for method in ("closed-form", "lloyd", "brute-force"):
+        argv = ["solve", "--n", str(_MAX_POINTS + 1), "--method", method]
+        assert cli.main(argv) == 2, method
+        assert "error:" in capsys.readouterr().err
