@@ -22,6 +22,11 @@ from typing import Sequence
 from . import closed_form
 from .geometry import _check_int
 
+# the geometric sample list holds `samples` ints before deduplication; the
+# widest range, n = 2 .. 2**31 - 1, takes 0.4 s and an 8.8 MiB tracemalloc
+# peak at 10**5 samples on 2 vCPUs, linear in samples
+_MAX_SAMPLES = 100_000
+
 
 def excess(n: int) -> float:
     """Error excess V_n - V_inf, exact rational converted to float."""
@@ -104,12 +109,13 @@ def dimension_regression(
 
     Takes `samples` geometrically spaced integers in [n_min, n_max]
     (deduplicated after rounding) and fits log excess against log n.
+    samples is capped at 100,000 to bound memory.
     """
     _check_int("n_min", n_min, minimum=2)
     _check_int("n_max", n_max, minimum=2)
     if not n_min < n_max:
         raise ValueError(f"need n_min < n_max, got {n_min} >= {n_max}")
-    _check_int("samples", samples, minimum=2)
+    _check_int("samples", samples, minimum=2, maximum=_MAX_SAMPLES)
     ns = _geometric_samples(n_min, n_max, samples)
     slope, intercept, residual = fit_log_log(ns, [excess(n) for n in ns])
     if slope == 0:

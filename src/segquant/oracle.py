@@ -2,28 +2,31 @@
 
 brute_force knows nothing about the closed forms or the fixed-point solver.
 It puts each of the n points on any constraint index and on a grid over that
-constraint's feasible abscissa range (widened by one grid step on each side),
-finds the exact minimum over all such placements by a dynamic program over
-consecutive pairs of grid states (J. D. Bruce, "Optimum quantization", 1965;
-X. Wu, "Optimal quantization by matrix searching", 1991), then locally
-refines around the incumbent with halved steps.  riemann_distortion
-integrates the pointwise min squared distance with a midpoint rule, sharing
-no partition logic with the quantizer module.  Both exist to confirm the
-rest of the package, so neither uses a closed form or the solver.
+constraint's feasible abscissa range (widened by one grid step on each side)
+and finds the exact minimum over all such placements by a dynamic program
+over consecutive pairs of grid states (J. D. Bruce, "Optimum quantization",
+1965; X. Wu, "Optimal quantization by matrix searching", 1991).  Each
+refinement round runs the same program on halved-step windows around the
+incumbent.  riemann_distortion integrates the pointwise min squared distance
+with a midpoint rule, sharing no partition logic with the quantizer module.
+Both exist to confirm the rest of the package, so neither uses a closed form
+or the solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 # numpy is imported inside the search functions, so that `import segquant`
 # does not pay its start-up cost
 from . import quantizer as qz
 from .geometry import ConstraintPoint, _check_int, embed, feasible_foot_range
 
-_FULL_SEARCH_MAX_N = 3
+# the default grid at n = 6 takes about 0.15 s on 2 vCPUs and a 7.1 MiB
+# tracemalloc peak
+_FULL_SEARCH_MAX_N = 6
 # riemann_distortion holds two float64 arrays of `panels` entries (midpoints
 # and running minima) plus one temporary of that size: 80 MB each at 10**7
 # panels, a 240 MB peak (tracemalloc reads 24 MB at 10**6)
@@ -78,58 +81,7 @@ def _cell(lo, hi, a, y):
     return (hi - lo) * poly / 3.0
 
 
-def _grid_distortions(ts: Sequence[int], xs: list[np.ndarray]) -> np.ndarray:
-    """Distortion of each candidate tuple; +inf where the candidate is invalid.
-
-    Candidate i places point k at abscissa xs[k][i] on constraint S_{ts[k]}.
-    Valid candidates have strictly increasing feet and strictly interior,
-    strictly increasing Voronoi breakpoints (anything else leaves some point
-    with an empty cell).  Per-cell values use the exact quadratic integral.
-    """
-    import numpy as np
-
-    n = len(ts)
-    invs = [1.0 / t for t in ts]
-    ys = [x + inv for x, inv in zip(xs, invs)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        feet = [2.0 * x + inv for x, inv in zip(xs, invs)]
-        valid = np.ones(xs[0].shape, dtype=bool)
-        for i in range(n - 1):
-            valid &= feet[i] < feet[i + 1]
-        # Voronoi cuts between consecutive embedded points, then cells
-        # [0, c_0], [c_0, c_1], ..., [c_{n-2}, 1].
-        cuts: list[np.ndarray] = []
-        for i in range(n - 1):
-            c = _cut(xs[i], ys[i], xs[i + 1], ys[i + 1])
-            valid &= np.isfinite(c) & (c > 0.0) & (c < 1.0)
-            if cuts:
-                valid &= cuts[-1] < c
-            cuts.append(c)
-        lows = [0.0] + cuts
-        highs = cuts + [1.0]
-        total = np.zeros(xs[0].shape)
-        for i in range(n):
-            total += _cell(lows[i], highs[i], xs[i], ys[i])
-        total = np.where(valid, total, np.inf)
-    return total
-
-
-def _best_on_grids(
-    ts: Sequence[int], grids: list[np.ndarray]
-) -> Optional[tuple[float, tuple[float, ...]]]:
-    """Cheapest valid candidate on the position grids, ties to lower abscissas."""
-    import numpy as np
-
-    mesh = np.meshgrid(*grids, indexing="ij")
-    xs = [m.reshape(-1) for m in mesh]
-    values = _grid_distortions(ts, xs)
-    k = int(np.argmin(values))
-    if not math.isfinite(values[k]):
-        return None
-    return float(values[k]), tuple([float(x[k]) for x in xs])
-
-
-def _coarse_minimum(
+def _grid_minimum(
     n: int, grids: dict[int, np.ndarray]
 ) -> Optional[tuple[float, tuple[int, ...], tuple[float, ...]]]:
     """Cheapest valid n-tuple of states, by dynamic programming.
@@ -138,8 +90,8 @@ def _coarse_minimum(
     ordered by (t, x).  Every validity test involves consecutive pairs
     (ordered feet, a finite cut inside (0, 1)) or triples (ordered cuts), so
     value[b, c] holds the least cost of the cells so far over valid prefixes
-    ending in states b, c.  Cells are added in order, as in _grid_distortions,
-    so the minimum is the same float an enumeration of every tuple finds.
+    ending in states b, c.  Cells are added left to right, so the minimum is
+    the same float an enumeration of every tuple finds.
     Each step loops over the middle state: G^2 memory, O(n G^3) time for G
     states.  Returns (value, indices, abscissas), or None when nothing is valid.
     """
@@ -195,12 +147,15 @@ def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutco
     A state is a constraint index t and an abscissa x on that constraint's
     coarse grid; states are ordered by (t, x).  A dynamic program over
     consecutive pairs of states finds the cheapest valid n-tuple, exactly
-    the minimum an enumeration of every tuple would find.  Exact ties break
-    by state order: the last two points are the first minimal pair, and
-    each earlier point is the first minimal predecessor of the pair after
-    it, so the outcome is deterministic.  iterations counts grid passes
-    (1 coarse + refine_rounds); converged is always True.  The incumbent's
-    distortion is recomputed through the quantizer module.
+    the minimum an enumeration of every tuple would find.  Each of the
+    refine_rounds halves the step and runs the same program on windows of
+    +-2 steps around the incumbent's points, pooled per constraint.
+    Exact ties break by state order in every pass: the last two points are
+    the first minimal pair, and each earlier point is the first minimal
+    predecessor of the pair after it, so the outcome is deterministic.
+    iterations counts grid passes (1 coarse + refine_rounds); converged is
+    always True.  The incumbent's distortion is recomputed through the
+    quantizer module.  n is capped at _FULL_SEARCH_MAX_N = 6.
     """
     import numpy as np
 
@@ -227,21 +182,20 @@ def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutco
         )
     coarse = {j: np.arange(lo, hi + step / 2, step) for j, (lo, hi) in bounds.items()}
 
-    best = _coarse_minimum(n, coarse)
+    best = _grid_minimum(n, coarse)
     if best is None:
         raise RuntimeError("no valid candidate on the coarse grid")
 
-    value, ts, positions = best
+    _, ts, positions = best
     for _ in range(cfg.refine_rounds):
         step /= 2
-        grids = []
+        # +-2 half steps around each incumbent point, pooled per constraint;
+        # the incumbent is among the states, so a round never gets worse
+        windows = {t: [] for t in sorted(set(ts))}
         for t, x in zip(ts, positions):
-            lo_w, hi_w = bounds[t]
-            local = x + step * np.arange(-2.0, 3.0)
-            grids.append(np.unique(np.clip(local, lo_w, hi_w)))
-        found = _best_on_grids(ts, grids)
-        if found is not None and found[0] < value:
-            value, positions = found
+            windows[t].append(np.clip(x + step * np.arange(-2.0, 3.0), *bounds[t]))
+        grids = {t: np.unique(np.concatenate(w)) for t, w in windows.items()}
+        _, ts, positions = _grid_minimum(n, grids)
 
     q = qz.Quantizer(tuple([ConstraintPoint(t, x) for t, x in zip(ts, positions)]))
     return qz.SolverOutcome(

@@ -46,6 +46,13 @@ def test_solve_golden_bytes():
     assert proc.stdout == (GOLDEN / "solve_n2.json").read_text()
 
 
+def test_brute_force_golden_bytes():
+    # the grid search's output, so that drift in the oracle shows
+    proc = run_cli("solve", "--n", "3", "--method", "brute-force")
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "solve_n3_brute_force.json").read_text()
+
+
 def test_curve_golden_bytes():
     proc = run_cli("curve", "--n-max", "16")
     assert proc.returncode == 0
@@ -249,6 +256,16 @@ def test_verify_small_range_passes():
     assert all(line.endswith(" ok") for line in lines[:-1])
 
 
+def test_verify_confirms_the_oracle_up_to_its_cap():
+    proc = run_cli("verify", "--n-max", "6", "--oracle-n-max", "6")
+    assert proc.returncode == 0, proc.stdout
+    lines = proc.stdout.strip().splitlines()
+    assert lines[-1] == "verify: OK"
+    # 6 solver rows + 6 oracle rows + the summary
+    assert len(lines) == 13
+    assert all(line.endswith(" ok") for line in lines[:-1])
+
+
 def test_verify_detects_a_corrupted_closed_form(monkeypatch, capsys):
     real = closed_form.vn
     monkeypatch.setattr(closed_form, "vn", lambda n: real(n) * 1.01)
@@ -305,7 +322,7 @@ def test_domain_errors_exit_2():
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert run_cli("dimension", "--n-min", "1", "--n-max", "10").returncode == 2
-    assert run_cli("solve", "--n", "4", "--method", "brute-force").returncode == 2
+    assert run_cli("solve", "--n", "7", "--method", "brute-force").returncode == 2
 
 
 def test_non_convergence_exits_3():

@@ -6,6 +6,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction as F
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
@@ -19,18 +20,20 @@ from segquant import (
     distortion,
     feasible_foot_range,
     optimal_points,
+    oracle,
     riemann_distortion,
     solve_fixed_constraint,
     vn,
 )
 from segquant.oracle import (
+    _FULL_SEARCH_MAX_N,
     _MAX_GRID_STATES,
     _RIEMANN_MAX_PANELS,
-    _best_on_grids,
-    _coarse_minimum,
-    _grid_distortions,
+    _cell,
+    _cut,
+    _grid_minimum,
 )
-from conftest import random_same_constraint_quantizer
+from conftest import random_feet, random_same_constraint_quantizer
 
 # discretization tolerances: the final grid resolution with defaults is
 # grid_step / 2**refine_rounds = 1.25e-3, and the distortion is locally
@@ -118,7 +121,7 @@ def test_brute_force_single_point_fine_grid():
 
 
 def test_brute_force_puts_all_points_on_the_top_constraint():
-    for n in (1, 2, 3):
+    for n in range(1, _FULL_SEARCH_MAX_N + 1):
         out = brute_force(n)
         assert all(p.j == n for p in out.quantizer.points)
         exact = [float(F(2 * j - 3, 4 * n)) for j in range(1, n + 1)]
@@ -129,7 +132,7 @@ def test_brute_force_puts_all_points_on_the_top_constraint():
 
 
 def test_brute_force_never_beats_the_closed_form():
-    for n in (1, 2, 3):
+    for n in range(1, _FULL_SEARCH_MAX_N + 1):
         assert brute_force(n).distortion >= vn(n) - 1e-12
 
 
@@ -158,7 +161,7 @@ def test_brute_force_is_deterministic():
 
 def test_brute_force_limits():
     with pytest.raises(BruteForceLimitError):
-        brute_force(4)
+        brute_force(7)
     with pytest.raises(ValueError):
         brute_force(0)
     with pytest.raises(ValueError):
@@ -195,6 +198,53 @@ def _coarse_grids(max_index, step):
     return grids
 
 
+def _grid_distortions(ts: Sequence[int], xs: list[np.ndarray]) -> np.ndarray:
+    """Distortion of each candidate tuple; +inf where the candidate is invalid.
+
+    Candidate i places point k at abscissa xs[k][i] on constraint S_{ts[k]}.
+    Valid candidates have strictly increasing feet and strictly interior,
+    strictly increasing Voronoi breakpoints (anything else leaves some point
+    with an empty cell).  Per-cell values use the exact quadratic integral.
+    """
+    n = len(ts)
+    invs = [1.0 / t for t in ts]
+    ys = [x + inv for x, inv in zip(xs, invs)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        feet = [2.0 * x + inv for x, inv in zip(xs, invs)]
+        valid = np.ones(xs[0].shape, dtype=bool)
+        for i in range(n - 1):
+            valid &= feet[i] < feet[i + 1]
+        # Voronoi cuts between consecutive embedded points, then cells
+        # [0, c_0], [c_0, c_1], ..., [c_{n-2}, 1].
+        cuts: list[np.ndarray] = []
+        for i in range(n - 1):
+            c = _cut(xs[i], ys[i], xs[i + 1], ys[i + 1])
+            valid &= np.isfinite(c) & (c > 0.0) & (c < 1.0)
+            if cuts:
+                valid &= cuts[-1] < c
+            cuts.append(c)
+        lows = [0.0] + cuts
+        highs = cuts + [1.0]
+        total = np.zeros(xs[0].shape)
+        for i in range(n):
+            total += _cell(lows[i], highs[i], xs[i], ys[i])
+        total = np.where(valid, total, np.inf)
+    return total
+
+
+def _best_on_grids(
+    ts: Sequence[int], grids: list[np.ndarray]
+) -> Optional[tuple[float, tuple[float, ...]]]:
+    """Cheapest valid candidate on the position grids, ties to lower abscissas."""
+    mesh = np.meshgrid(*grids, indexing="ij")
+    xs = [m.reshape(-1) for m in mesh]
+    values = _grid_distortions(ts, xs)
+    k = int(np.argmin(values))
+    if not math.isfinite(values[k]):
+        return None
+    return float(values[k]), tuple([float(x[k]) for x in xs])
+
+
 def _enumerated_minimum(n, grids):
     # referee: every assignment of indices, every position tuple on its grids
     best = None
@@ -211,7 +261,7 @@ def test_dynamic_program_equals_the_enumeration(grid_step):
         for max_index in range(1, n + 1):
             grids = _coarse_grids(max_index, grid_step)
             # the same float value, indices and abscissas
-            assert _coarse_minimum(n, grids) == _enumerated_minimum(n, grids), (
+            assert _grid_minimum(n, grids) == _enumerated_minimum(n, grids), (
                 f"n={n} max_index={max_index}"
             )
 
@@ -226,7 +276,56 @@ def test_dynamic_program_equals_the_enumeration_on_random_grids():
             t: np.sort(rng.uniform(-1.0 / t, 0.8, size=int(rng.integers(1, 8))))
             for t in range(1, max_index + 1)
         }
-        assert _coarse_minimum(n, grids) == _enumerated_minimum(n, grids), grids
+        assert _grid_minimum(n, grids) == _enumerated_minimum(n, grids), grids
+
+
+def test_dynamic_program_equals_the_enumeration_on_refinement_windows():
+    # brute_force's refinement state sets: +-2 half steps around a random
+    # incumbent, clipped to the widened bounds and pooled per constraint, with
+    # the windows on one constraint apart from each other
+    rng = np.random.default_rng(11)
+    valid = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 4))
+        step = float(rng.uniform(0.01, 0.1))
+        half = step / 2 ** int(rng.integers(1, 4))
+        ts = [int(t) for t in rng.integers(1, n + 1, size=n)]
+        xs = [(f - 1.0 / t) / 2.0 for f, t in zip(random_feet(rng, n), ts)]
+        pairs = itertools.combinations(zip(ts, xs), 2)
+        if any(s == t and abs(x - y) <= 4 * half for (s, x), (t, y) in pairs):
+            continue
+        windows = {t: [] for t in sorted(set(ts))}
+        for t, x in zip(ts, xs):
+            lo, hi = feasible_foot_range(t)
+            local = x + half * np.arange(-2.0, 3.0)
+            windows[t].append(np.clip(local, lo - step, hi + step))
+        grids = {t: np.unique(np.concatenate(w)) for t, w in windows.items()}
+        best = _grid_minimum(n, grids)
+        assert best == _enumerated_minimum(n, grids), grids
+        valid += best is not None
+    assert valid >= 100
+
+
+def test_brute_force_refines_on_the_incumbents_windows(monkeypatch):
+    # every refinement round searches states around the previous incumbent,
+    # which stays among them, and the enumeration agrees with the result
+    calls = []
+
+    def spy(n, grids):
+        found = _grid_minimum(n, grids)
+        calls.append((grids, found))
+        return found
+
+    monkeypatch.setattr(oracle, "_grid_minimum", spy)
+    for n in (1, 2, 3):
+        calls.clear()
+        brute_force(n)
+        assert len(calls) == 1 + 3
+        for (_, before), (grids, after) in zip(calls, calls[1:]):
+            _, ts, xs = before
+            assert all(x in grids[t] for t, x in zip(ts, xs))
+            assert after[0] <= before[0]
+            assert after == _enumerated_minimum(n, grids)
 
 
 def test_brute_force_never_holds_a_cube_of_states():

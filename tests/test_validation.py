@@ -1,12 +1,13 @@
 """Every public integer parameter refuses bool, float, str and None alike,
-and every list of n points refuses n above its cap."""
+and every list of n points or of samples refuses a length above its cap."""
 
 from __future__ import annotations
 
 import pytest
 
 import segquant as sq
-from segquant import cli, closed_form, quantizer
+from segquant import asymptotics, cli, closed_form, quantizer
+from segquant.asymptotics import _MAX_SAMPLES
 from segquant.quantizer import _MAX_POINTS
 
 UNIT = sq.SupportInterval(0, 1)
@@ -86,3 +87,23 @@ def test_point_lists_refuse_n_above_cap_before_allocating(monkeypatch, capsys):
         argv = ["solve", "--n", str(_MAX_POINTS + 1), "--method", method]
         assert cli.main(argv) == 2, method
         assert "error:" in capsys.readouterr().err
+
+
+def test_dimension_samples_refuse_above_cap_before_allocating(monkeypatch, capsys):
+    class Allocated(Exception):
+        pass
+
+    def allocate(*args):
+        raise Allocated
+
+    # building the sample list raises instead of running
+    monkeypatch.setattr(asymptotics, "_geometric_samples", allocate)
+    with pytest.raises(ValueError):
+        sq.dimension_regression(2, 100, _MAX_SAMPLES + 1)
+    # at the cap the check passes and the sample list is reached
+    with pytest.raises(Allocated):
+        sq.dimension_regression(2, 100, _MAX_SAMPLES)
+    assert cli.main(["dimension", "--samples", str(_MAX_SAMPLES + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: samples must be an integer in [2, 100000]" in captured.err
