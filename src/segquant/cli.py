@@ -20,6 +20,7 @@ from typing import Optional
 
 from . import asymptotics, closed_form, geometry, oracle
 from .quantizer import (
+    _MAX_POINTS,
     InvalidQuantizerError,
     SolverConfig,
     partition_of,
@@ -192,7 +193,8 @@ def cmd_dimension(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # refuse an oracle range brute_force would reject, before any solve runs
+    # refuse ranges the solver or brute_force would reject, before any solve runs
+    geometry._check_int("--n-max", args.n_max, maximum=_MAX_POINTS)
     oracle._check_full_search(args.oracle_n_max)
     lines = []
     all_ok = True

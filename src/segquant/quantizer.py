@@ -15,10 +15,8 @@ iterations per decade of accuracy.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 # numpy is imported inside the solver functions, so that the closed-form paths
@@ -31,8 +29,6 @@ from .geometry import (
     voronoi_breakpoint,
 )
 from .measure import UNIFORM, SupportInterval
-
-log = logging.getLogger(__name__)
 
 # every list of n points refuses n above this: time and memory grow linearly,
 # and `segquant solve --n 100000` takes 3-6 s and a 190 MB peak RSS (2 vCPUs)
@@ -96,11 +92,15 @@ def partition_of(q: Quantizer) -> tuple[float, ...]:
     clamped into [0, 1]; if any cell then collapses the quantizer has an
     empty cell and is rejected.
     """
-    cuts = [0]
+    # ends in the points' own number type, so Fraction stays exact at n = 1;
+    # x - x, unlike 0 * x, is +0.0 for a negative float x
+    zero = q.points[0].x - q.points[0].x
+    one = zero + 1
+    cuts = [zero]
     for left, right in zip(q.points, q.points[1:]):
         c = voronoi_breakpoint(left, right)
-        cuts.append(min(max(c, 0), 1))
-    cuts.append(1)
+        cuts.append(min(max(c, zero), one))
+    cuts.append(one)
     for i in range(len(cuts) - 1):
         if not cuts[i] < cuts[i + 1]:
             raise InvalidQuantizerError(
@@ -125,25 +125,17 @@ def distortion(q: Quantizer) -> float:
 def lloyd_step(q: Quantizer, t: int) -> Quantizer:
     """One Lloyd iteration for a quantizer supported on S_t.
 
-    Repartitions, then moves each point to the S_t point nearest its cell's
-    barycenter.  A barycenter whose preimage abscissa leaves [-1/t, 1] is
-    clamped to the segment end and the event is logged.
+    Repartitions, rejecting an empty cell as partition_of does, then moves
+    each point to the S_t point nearest its cell's barycenter: the one whose
+    foot is the cell's midpoint.  Cells lie in [0, 1], so its abscissa stays
+    in [-1/(2t), 1/2 - 1/(2t)].  Fraction in gives Fraction out.
     """
     _check_int("constraint index", t)
     for p in q.points:
         if p.j != t:
             raise ValueError(f"point {p!r} is not on constraint {t}")
     cuts = partition_of(q)
-    lo, hi = -Fraction(1, t), 1
-    new_points = []
-    # the S_t point whose foot is the cell's midpoint, its barycenter
-    for i, (c_lo, c_hi) in enumerate(zip(cuts, cuts[1:])):
-        x = ((c_lo + c_hi) / 2 - Fraction(1, t)) / 2
-        if x < lo or x > hi:
-            log.warning("cell %d barycenter leaves S_%d, clamping abscissa %r", i, t, x)
-            x = min(max(x, lo), hi)
-        new_points.append(ConstraintPoint(t, x))
-    return Quantizer(tuple(new_points))
+    return Quantizer(tuple(inverse_map(t, (lo + hi) / 2) for lo, hi in zip(cuts, cuts[1:])))
 
 
 @dataclass(frozen=True)
@@ -196,15 +188,6 @@ def _perturbed_equispaced_feet(n: int) -> list[float]:
     return [(2 * j - 1) / (2 * n) + (bump if j % 2 == 1 else 0.0) for j in range(1, n + 1)]
 
 
-def _raise_collapsed(cuts: np.ndarray) -> None:
-    import numpy as np
-
-    clamped = np.clip(cuts, 0.0, 1.0)
-    bad = np.nonzero(np.diff(clamped) <= 0)[0]
-    i = int(bad[0])
-    raise InvalidQuantizerError(f"cell {i} of the induced partition is empty", index=i)
-
-
 def _solve_loop(
     x0: np.ndarray, inv_t: float, tol: float, max_iter: int
 ) -> tuple[np.ndarray, int, float]:
@@ -228,10 +211,9 @@ def _solve_loop(
     against the 1 - pi^2 / (4 n^2) of plain sweeping.
 
     A sweep maps a valid state (strictly increasing feet, end breakpoints
-    inside (0, 1)) to a valid state, so only the caller's start can leave
-    the support, and it raises InvalidQuantizerError.  An extrapolated
-    state that is not valid is replaced by its sweep g_k, and the w
-    sequence restarts.
+    inside (0, 1)) to a valid state, so only the start can be invalid, and
+    the caller checks it with partition_of.  An extrapolated state that is
+    not valid is replaced by its sweep g_k, and the w sequence restarts.
     """
     import numpy as np
 
@@ -239,52 +221,34 @@ def _solve_loop(
     rho = math.cos(math.pi / (2 * n)) ** 2
     gamma = 2.0 / (2.0 - rho)
     quarter_sigma2 = 0.25 * (rho / (2.0 - rho)) ** 2
-    x = x0.copy()
-    prev = np.empty(n)
-    g = np.empty(n)
-    delta = np.empty(n)
-    gaps = np.empty(n - 1)
-    cuts = np.empty(n + 1)
-    cuts[0] = 0.0
+    x = prev = x0
+    cuts = np.zeros(n + 1)
     cuts[-1] = 1.0
-    half_inv_t = 0.5 * inv_t
     omega = 1.0
     step = 0  # extrapolations since the w sequence last (re)started
     iterations = 0
     movement = math.inf
     for iterations in range(1, max_iter + 1):
-        np.add(x[:-1], x[1:], out=cuts[1:n])
-        cuts[1:n] += inv_t
-        if iterations == 1 and n > 1 and (cuts[1] < 0.0 or cuts[n - 1] > 1.0):
-            _raise_collapsed(cuts)
-        np.add(cuts[:-1], cuts[1:], out=g)
-        g *= 0.25
-        g -= half_inv_t
-        np.subtract(g, x, out=delta)
+        cuts[1:n] = x[:-1] + x[1:] + inv_t
+        g = 0.25 * (cuts[:-1] + cuts[1:]) - 0.5 * inv_t
+        delta = g - x
         movement = 2.0 * max(float(delta.max()), -float(delta.min()))
         if movement <= tol or iterations == max_iter:
             break
-        # x_{k+1} overwrites x_{k-1} in prev
         step += 1
-        delta *= gamma
         if step == 1:  # w_1 = 1
-            np.add(x, delta, out=prev)
+            nxt = x + gamma * delta
         else:
             omega = 1.0 / (1.0 - (2.0 if step == 2 else omega) * quarter_sigma2)
-            delta += x
-            delta -= prev
-            delta *= omega
-            prev += delta
-        if n > 1:
-            np.subtract(prev[1:], prev[:-1], out=gaps)
-            if not (
-                gaps.min() > 0.0
-                and prev[0] + prev[1] + inv_t > 0.0
-                and prev[-2] + prev[-1] + inv_t < 1.0
-            ):
-                prev, g = g, prev
-                step = 0
-        x, prev = prev, x
+            nxt = prev + omega * (gamma * delta + x - prev)
+        if n > 1 and not (
+            (nxt[1:] - nxt[:-1]).min() > 0.0
+            and nxt[0] + nxt[1] + inv_t > 0.0
+            and nxt[-2] + nxt[-1] + inv_t < 1.0
+        ):
+            nxt = g
+            step = 0
+        prev, x = x, nxt
     return g, iterations, movement
 
 
@@ -309,9 +273,9 @@ def solve_fixed_constraint(
         feet = [float(f) for f in cfg.init_feet]
         if len(feet) != n:
             raise ValueError(f"init_feet has {len(feet)} entries, expected {n}")
-    # validates t and that every starting foot has a preimage on S_t
+    # validates t, each foot's preimage on S_t and the start's partition
     start = [inverse_map(t, f) for f in feet]
-    Quantizer(tuple(start))
+    partition_of(Quantizer(tuple(start)))
     inv_t = 1.0 / t
     x0 = np.array([float(p.x) for p in start])
     x, iterations, movement = _solve_loop(x0, inv_t, cfg.tol, cfg.max_iter)

@@ -21,6 +21,7 @@ from segquant import (
     closed_form,
     distortion,
     oracle,
+    quantizer,
     vn,
 )
 
@@ -304,6 +305,19 @@ def test_verify_refuses_oracle_n_max_above_cap_before_solving(monkeypatch, capsy
     assert code == 2
     assert captured.out == ""
     assert f"exhaustive search supports n <= {cap}, got {cap + 1}" in captured.err
+
+
+def test_verify_refuses_n_max_above_cap_before_solving(monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("verify solved before refusing --n-max")
+
+    monkeypatch.setattr(cli, "solve_fixed_constraint", no_solve)
+    cap = quantizer._MAX_POINTS
+    code = cli.main(["verify", "--n-max", str(cap + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"--n-max must be an integer in [1, {cap}], got {cap + 1}" in captured.err
 
 
 # -------------------------------------------------------------- exit codes

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from segquant import (
@@ -59,6 +59,9 @@ def test_breakpoint_is_exactly_equidistant(p, q):
 
 @settings(deadline=None)
 @given(case=same_constraint_quantizers())
+# one-point quantizers, whose only cell is the whole support [0, 1]
+@example(case=(Quantizer((ConstraintPoint(2, F(0)),)), 2))
+@example(case=(Quantizer((ConstraintPoint(9, F(7, 36)),)), 9))
 def test_lloyd_sweep_never_increases_distortion(case):
     q, t = case
     assert distortion(lloyd_step(q, t)) <= distortion(q)

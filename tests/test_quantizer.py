@@ -134,6 +134,14 @@ def test_lloyd_step_two_points_exact():
     assert stepped.points == (ConstraintPoint(1, F(-3, 8)), ConstraintPoint(1, F(-1, 8)))
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_lloyd_step_keeps_the_number_type(n):
+    feet = [F(2 * j - 1, 2 * n) + F(1, 10 * n) for j in range(1, n + 1)]
+    for kind in (F, float):
+        q = Quantizer(tuple(inverse_map(2, kind(f)) for f in feet))
+        assert all(type(p.x) is kind for p in lloyd_step(q, 2).points)
+
+
 def test_lloyd_step_wrong_constraint():
     q = optimal_quantizer(2)
     with pytest.raises(ValueError):
@@ -237,6 +245,19 @@ def test_solver_input_validation():
         solve_fixed_constraint(2, 1, SolverConfig(init="explicit", init_feet=(0.25, 3.5)))
     with pytest.raises(InvalidQuantizerError):
         solve_fixed_constraint(2, 1, SolverConfig(init="explicit", init_feet=(0.75, 0.25)))
+
+
+def test_solver_rejects_a_start_with_an_empty_cell():
+    # ordered feet on S_1 with cuts -0.7 and 0.0: both clamp onto 0
+    feet = (-0.9, -0.5, 0.5)
+    with pytest.raises(InvalidQuantizerError) as expected:
+        partition_of(Quantizer(tuple(inverse_map(1, f) for f in feet)))
+    for max_iter in (1, 10_000):
+        cfg = SolverConfig(max_iter=max_iter, init="explicit", init_feet=feet)
+        with pytest.raises(InvalidQuantizerError) as e:
+            solve_fixed_constraint(3, 1, cfg)
+        assert str(e.value) == str(expected.value)
+        assert e.value.index == expected.value.index == 0
 
 
 def test_solver_config_refuses_unused_init_feet_and_stays_hashable():
