@@ -7,7 +7,7 @@ each point under its cell's barycenter.  In foot coordinates this is the
 textbook one-dimensional Lloyd map for the uniform density, a contraction
 with rate cos^2(pi / (2n)), so the foot error shrinks geometrically and
 slower for larger n.  The demo measures that rate by stepping one sweep at
-a time (max_iter=1 is exactly one lloyd_step).
+a time (max_iter=1 is one lloyd_step, equal up to rounding).
 
 The solver itself extrapolates after every sweep (a Chebyshev
 semi-iteration), which turns the rate into roughly 1 - pi / n per sweep;

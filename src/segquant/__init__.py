@@ -13,10 +13,8 @@ from .asymptotics import (
     dimension_direct,
     dimension_regression,
     excess,
-    fit_log_log,
 )
 from .closed_form import (
-    excess_exact,
     optimal_abscissas_exact,
     optimal_points,
     unconstrained_means,
@@ -28,7 +26,6 @@ from .geometry import (
     ConstraintPoint,
     DegenerateBoundaryError,
     Point,
-    bisector_abscissa,
     embed,
     feasible_foot_range,
     forward_map,
@@ -37,9 +34,7 @@ from .geometry import (
     voronoi_breakpoint,
 )
 from .measure import (
-    UNIFORM,
     SupportInterval,
-    UniformSegmentMeasure,
     optimal_interval_distortion,
 )
 from .oracle import (
@@ -73,9 +68,6 @@ __all__ = [
     "SolverConfig",
     "SolverOutcome",
     "SupportInterval",
-    "UNIFORM",
-    "UniformSegmentMeasure",
-    "bisector_abscissa",
     "brute_force",
     "coefficient_estimate",
     "dimension_direct",
@@ -83,9 +75,7 @@ __all__ = [
     "distortion",
     "embed",
     "excess",
-    "excess_exact",
     "feasible_foot_range",
-    "fit_log_log",
     "forward_map",
     "inverse_map",
     "lloyd_step",

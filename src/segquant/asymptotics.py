@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import closed_form
 from .geometry import _check_int
@@ -44,39 +43,12 @@ def coefficient_estimate(n: int) -> float:
 def dimension_direct(n: int) -> float:
     """Single-point dimension estimate 2 log n / (-log excess(n)).
 
-    Needs n >= 2 and excess(n) < 1 so that the denominator is positive; at
-    n = 1 the excess is 25/24 > 1 and the estimate is undefined.
+    Needs n >= 2, where excess(n) <= excess(2) = 37/96 < 1 keeps the
+    denominator positive; at n = 1 the excess is 25/24 > 1 and the estimate
+    is undefined.
     """
     _check_int("n", n, minimum=2)
-    e = excess(n)
-    if e >= 1:
-        raise ValueError(f"direct estimate needs excess < 1, got {e!r} at n={n}")
-    return 2 * math.log(n) / -math.log(e)
-
-
-def fit_log_log(
-    ns: Sequence[int], values: Sequence[float]
-) -> tuple[float, float, float]:
-    """Least-squares line through (log n, log value); slope, intercept, residual.
-
-    residual is the max absolute deviation of the data from the fitted line
-    in log space.  Plain scalar arithmetic keeps the result bit-reproducible.
-    """
-    if len(ns) != len(values) or len(ns) < 2:
-        raise ValueError("need at least two (n, value) pairs")
-    xs = [math.log(n) for n in ns]
-    ys = [math.log(v) for v in values]
-    k = len(xs)
-    mean_x = sum(xs) / k
-    mean_y = sum(ys) / k
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx == 0:
-        raise ValueError("degenerate sample set: all n equal")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = mean_y - slope * mean_x
-    residual = max(abs(y - (intercept + slope * x)) for x, y in zip(xs, ys))
-    return slope, intercept, residual
+    return 2 * math.log(n) / -math.log(excess(n))
 
 
 @dataclass(frozen=True)
@@ -92,14 +64,11 @@ class RegressionEstimate:
 
 def _geometric_samples(n_min: int, n_max: int, samples: int) -> list[int]:
     log_lo, log_hi = math.log(n_min), math.log(n_max)
-    raw = [
+    # both ends round back to n_min < n_max, so at least two remain
+    return sorted({
         round(math.exp(log_lo + (log_hi - log_lo) * i / (samples - 1)))
         for i in range(samples)
-    ]
-    distinct = sorted(set(raw))
-    if len(distinct) < 2:
-        raise ValueError(f"degenerate sample set {raw!r}")
-    return distinct
+    })
 
 
 def dimension_regression(
@@ -108,18 +77,28 @@ def dimension_regression(
     """Dimension estimate from a log-log fit of excess over geometric samples.
 
     Takes `samples` geometrically spaced integers in [n_min, n_max]
-    (deduplicated after rounding) and fits log excess against log n.
-    samples is capped at 100,000 to bound memory.
+    (deduplicated after rounding) and fits log excess against log n by least
+    squares; residual is the max absolute deviation of the data from the
+    fitted line in log space.  Plain scalar arithmetic keeps the result
+    bit-reproducible.  n_max is capped at 2**31 - 1, as vn_exact's n is, and
+    samples at 100,000 to bound memory.
     """
-    _check_int("n_min", n_min, minimum=2)
-    _check_int("n_max", n_max, minimum=2)
+    _check_int("n_min", n_min, minimum=2, maximum=closed_form._MAX_N)
+    _check_int("n_max", n_max, minimum=2, maximum=closed_form._MAX_N)
     if not n_min < n_max:
         raise ValueError(f"need n_min < n_max, got {n_min} >= {n_max}")
     _check_int("samples", samples, minimum=2, maximum=_MAX_SAMPLES)
     ns = _geometric_samples(n_min, n_max, samples)
-    slope, intercept, residual = fit_log_log(ns, [excess(n) for n in ns])
-    if slope == 0:
-        raise ValueError("excess curve fit has zero slope")
+    xs = [math.log(n) for n in ns]
+    ys = [math.log(excess(n)) for n in ns]
+    mean_x = sum(xs) / len(xs)
+    mean_y = sum(ys) / len(ys)
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    # the excess strictly decreases, so sxy < 0 and the slope is nonzero
+    slope = sxy / sxx
+    intercept = mean_y - slope * mean_x
+    residual = max(abs(y - (intercept + slope * x)) for x, y in zip(xs, ys))
     return RegressionEstimate(
         slope=slope,
         intercept=intercept,

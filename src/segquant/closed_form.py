@@ -59,7 +59,7 @@ def optimal_points(n: int) -> Quantizer:
     """The optimal n-point quantizer, all points on S_n.
 
     Abscissas stay strictly inside the feasible range (-1/(2n), 1/2 - 1/(2n))
-    whose feet sweep [0, 1], so no point is ever clamped.
+    whose feet sweep [0, 1].
     """
     return Quantizer(
         tuple([ConstraintPoint(n, float(x)) for x in optimal_abscissas_exact(n)])

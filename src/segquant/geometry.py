@@ -116,27 +116,20 @@ def feasible_foot_range(j: int) -> tuple[float, float]:
     return (float(-half), float(Fraction(1, 2) - half))
 
 
-def bisector_abscissa(p: Point, q: Point) -> float:
-    """Abscissa where the perpendicular bisector of p and q meets the x-axis.
-
-    Solves |(u,0) - p|^2 = |(u,0) - q|^2 for u, which requires p.x != q.x;
-    equal abscissas make the bisector parallel to (or disjoint from) the axis.
-    """
-    if p.x == q.x:
-        raise DegenerateBoundaryError(
-            f"points with equal abscissas {p.x!r} have no axis crossing"
-        )
-    sp = p.x * p.x + p.y * p.y
-    sq = q.x * q.x + q.y * q.y
-    return (sq - sp) / (2 * (q.x - p.x))
-
-
 def voronoi_breakpoint(p: ConstraintPoint, q: ConstraintPoint) -> float:
     """Support abscissa equidistant from two embedded constraint points.
 
-    Points of the support left of the breakpoint are nearer to embed(p),
-    points right of it nearer to embed(q), provided p's embedded abscissa is
-    the smaller one.  When both points lie on the same constraint S_t this
-    reduces to p.x + q.x + 1/t.
+    Solves |(u,0) - embed(p)|^2 = |(u,0) - embed(q)|^2 for u.  Points of the
+    support left of the breakpoint are nearer to embed(p), points right of it
+    nearer to embed(q), provided p's abscissa is the smaller one.  When both
+    points lie on the same constraint S_t this reduces to p.x + q.x + 1/t.
+    Equal abscissas make the bisector parallel to (or disjoint from) the axis.
     """
-    return bisector_abscissa(embed(p), embed(q))
+    a, b = embed(p), embed(q)
+    if a.x == b.x:
+        raise DegenerateBoundaryError(
+            f"points with equal abscissas {a.x!r} have no axis crossing"
+        )
+    sa = a.x * a.x + a.y * a.y
+    sb = b.x * b.x + b.y * b.y
+    return (sb - sa) / (2 * (b.x - a.x))

@@ -89,8 +89,9 @@ def partition_of(q: Quantizer) -> tuple[float, ...]:
 
     Returns the tuple of breakpoints 0 = c_0 < c_1 < ... < c_n = 1; cell i,
     the one point i quantizes, is [c_i, c_{i+1}].  Interior breakpoints are
-    clamped into [0, 1]; if any cell then collapses the quantizer has an
-    empty cell and is rejected.
+    clamped into [0, 1], and a pair with equal abscissas cuts at 1: its left
+    point, having the smaller foot, is the nearer one everywhere.  If any
+    cell then collapses the quantizer has an empty cell and is rejected.
     """
     # ends in the points' own number type, so Fraction stays exact at n = 1;
     # x - x, unlike 0 * x, is +0.0 for a negative float x
@@ -98,7 +99,7 @@ def partition_of(q: Quantizer) -> tuple[float, ...]:
     one = zero + 1
     cuts = [zero]
     for left, right in zip(q.points, q.points[1:]):
-        c = voronoi_breakpoint(left, right)
+        c = one if left.x == right.x else voronoi_breakpoint(left, right)
         cuts.append(min(max(c, zero), one))
     cuts.append(one)
     for i in range(len(cuts) - 1):
@@ -195,9 +196,9 @@ def _solve_loop(
 
     Same-constraint breakpoints reduce to x_left + x_right + 1/t, and cell
     midpoints pull back to abscissa (c_left + c_right)/4 - 1/(2t), so the
-    sweep g = Lloyd(x) below equals lloyd_step.  It is affine, and its
-    matrix has the exact spectrum {cos^2(k pi / (2n)) : k = 1..n}, inside
-    [0, rho] with rho = cos^2(pi / (2n)).  Each iteration runs one sweep
+    sweep g = Lloyd(x) below equals lloyd_step up to rounding.  It is affine,
+    and its matrix has the exact spectrum {cos^2(k pi / (2n)) : k = 1..n},
+    inside [0, rho] with rho = cos^2(pi / (2n)).  Each iteration runs one sweep
     g_k = Lloyd(x_k); it stops, returning g_k, once the sweep moves the feet
     by at most tol or max_iter iterations have run.  Otherwise it
     extrapolates with the Chebyshev semi-iteration of Golub & Varga (1961):
@@ -260,8 +261,8 @@ def solve_fixed_constraint(
     Runs Chebyshev-accelerated Lloyd iterations (see _solve_loop) until the
     last sweep moves the feet by at most config.tol or max_iter iterations
     have run, and returns that sweep's result; converged reports which
-    happened.  With max_iter=1 the result is exactly lloyd_step of the start.
-    The fixed point has feet (2j - 1) / (2n) regardless of t.
+    happened.  With max_iter=1 the result is lloyd_step of the start, up to
+    rounding.  The fixed point has feet (2j - 1) / (2n) regardless of t.
     """
     import numpy as np
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +12,6 @@ from segquant import (
     dimension_direct,
     dimension_regression,
     excess,
-    fit_log_log,
 )
 
 
@@ -58,25 +56,6 @@ def test_coefficient_estimate_decreases_to_one_half():
     assert all(v > 0.5 for v in values)
 
 
-def test_fit_log_log_recovers_exact_power_law():
-    ns = [2, 4, 8, 16, 256, 1024]
-    c, s = 3.5, -1.25
-    values = [c * n**s for n in ns]
-    slope, intercept, residual = fit_log_log(ns, values)
-    assert math.isclose(slope, s, rel_tol=1e-12)
-    assert math.isclose(intercept, math.log(c), rel_tol=1e-12)
-    assert residual <= 1e-12
-
-
-def test_fit_log_log_validation():
-    with pytest.raises(ValueError):
-        fit_log_log([2], [1.0])
-    with pytest.raises(ValueError):
-        fit_log_log([2, 4], [1.0])
-    with pytest.raises(ValueError):
-        fit_log_log([5, 5, 5], [1.0, 1.0, 1.0])
-
-
 def test_dimension_regression_default_window():
     est = dimension_regression(64, 16384, 9)
     assert isinstance(est, RegressionEstimate)
@@ -118,3 +97,11 @@ def test_dimension_regression_validation():
     # distinct endpoints survive deduplication
     est = dimension_regression(2, 4, samples=9)
     assert est.sample_range == (2, 4)
+
+
+def test_dimension_regression_refuses_n_above_vn_exact_cap():
+    # unchecked, 10**400 would overflow math.exp while sampling
+    assert dimension_regression(2, 2**31 - 1).sample_range == (2, 2**31 - 1)
+    for big in (2**31, 10**400):
+        with pytest.raises(ValueError, match=r"n_max must be an integer in \[2, 2147483647\]"):
+            dimension_regression(2, big)

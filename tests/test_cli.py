@@ -339,6 +339,14 @@ def test_domain_errors_exit_2():
     assert run_cli("solve", "--n", "7", "--method", "brute-force").returncode == 2
 
 
+def test_dimension_refuses_n_max_above_cap(capsys):
+    for big in ("2147483648", "1" + "0" * 400):
+        assert cli.main(["dimension", "--n-max", big]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: n_max must be an integer in [2, 2147483647]" in captured.err
+
+
 def test_non_convergence_exits_3():
     proc = run_cli(
         "solve", "--n", "64", "--method", "lloyd", "--tol", "1e-13", "--max-iter", "2"

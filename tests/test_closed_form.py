@@ -9,7 +9,6 @@ import pytest
 from segquant import (
     ConstraintPoint,
     distortion,
-    excess_exact,
     forward_map,
     lloyd_step,
     optimal_abscissas_exact,
@@ -20,6 +19,7 @@ from segquant import (
     vn_exact,
 )
 from segquant import closed_form
+from segquant.closed_form import excess_exact
 
 
 def test_vn_exact_values():

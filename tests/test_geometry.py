@@ -12,7 +12,6 @@ from segquant import (
     ConstraintPoint,
     DegenerateBoundaryError,
     Point,
-    bisector_abscissa,
     embed,
     feasible_foot_range,
     forward_map,
@@ -134,8 +133,9 @@ def test_voronoi_breakpoint_same_constraint():
     assert voronoi_breakpoint(p, q) == F(1, 2)
 
 
-def test_bisector_abscissa_equal_ordinates():
-    assert bisector_abscissa(Point(0, 1), Point(1, 1)) == 0.5
+def test_voronoi_breakpoint_equal_ordinates():
+    # embedded points (0, 1) and (1/2, 1): the bisector is the vertical u = 1/4
+    assert voronoi_breakpoint(ConstraintPoint(1, F(0)), ConstraintPoint(2, F(1, 2))) == F(1, 4)
 
 
 def test_voronoi_breakpoint_mixed_constraints():
@@ -169,8 +169,6 @@ def test_voronoi_breakpoint_degenerate_equal_abscissas():
     # (j=1, x=0) and (j=2, x=0) embed to (0,1) and (0,1/2): same abscissa
     with pytest.raises(DegenerateBoundaryError):
         voronoi_breakpoint(ConstraintPoint(1, 0.0), ConstraintPoint(2, 0.0))
-    with pytest.raises(DegenerateBoundaryError):
-        bisector_abscissa(Point(0.25, 0.5), Point(0.25, -1.0))
 
 
 def test_voronoi_breakpoint_equidistance():

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from segquant import (
-    UNIFORM,
     ConstraintPoint,
     SupportInterval,
     embed,
     optimal_interval_distortion,
 )
+from segquant.measure import UNIFORM
 
 
 def test_interval_validation():

@@ -82,6 +82,30 @@ def test_partition_of_rejects_empty_first_cell():
     assert e.value.index == 0
 
 
+@pytest.mark.parametrize("x", [0.2, F(1, 5)])
+def test_partition_of_equal_abscissas_empty_the_right_cell(x):
+    # feet 2x + 1/3 < 2x + 1, but at equal abscissas the point on S_3 sits
+    # nearer the axis everywhere, so the S_1 point's cell is empty
+    q = Quantizer((ConstraintPoint(3, x), ConstraintPoint(1, x)))
+    for call in (partition_of, distortion):
+        with pytest.raises(InvalidQuantizerError) as e:
+            call(q)
+        assert e.value.index == 1
+
+
+def test_partition_of_equal_abscissas_inside_a_quantizer():
+    # feet 1/4, 11/15, 7/5, 2; the middle pair shares abscissa 0.2
+    points = (
+        ConstraintPoint(4, 0.0),
+        ConstraintPoint(3, 0.2),
+        ConstraintPoint(1, 0.2),
+        ConstraintPoint(1, 0.5),
+    )
+    with pytest.raises(InvalidQuantizerError) as e:
+        partition_of(Quantizer(points))
+    assert e.value.index == 2
+
+
 def test_partition_of_random_quantizers_is_sane():
     rng = np.random.default_rng(7)
     for _ in range(50):

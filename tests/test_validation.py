@@ -21,7 +21,7 @@ CASES = {
     "optimal_interval_distortion.t": (lambda v: sq.optimal_interval_distortion(UNIT, v), 1),
     "vn_exact.n": (sq.vn_exact, 1),
     "vn.n": (sq.vn, 1),
-    "excess_exact.n": (sq.excess_exact, 1),
+    "excess_exact.n": (closed_form.excess_exact, 1),
     "optimal_abscissas_exact.n": (sq.optimal_abscissas_exact, 1),
     "optimal_points.n": (sq.optimal_points, 1),
     "unconstrained_means.n": (sq.unconstrained_means, 1),
