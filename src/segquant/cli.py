@@ -152,6 +152,7 @@ def _curve_ns(n_max: int, spacing: str) -> list[int]:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
+    geometry._check_int("--n-max", args.n_max, maximum=closed_form._MAX_N)
     rows = []
     for n in _curve_ns(args.n_max, args.spacing):
         dim = None if n < 2 else asymptotics.dimension_direct(n)

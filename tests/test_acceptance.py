@@ -218,6 +218,7 @@ def test_criterion_7_cli_golden_files(criterion):
             capture_output=True,
             text=True,
             env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=120,
         )
 
     def body():

@@ -35,6 +35,7 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
     )
 
 
@@ -90,7 +91,11 @@ def test_closed_form_paths_never_import_numpy():
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -233,6 +238,20 @@ def test_curve_linear_refuses_n_max_above_cap(capsys):
     assert code == 2
     assert captured.out == ""
     assert "--n-max <= 100000" in captured.err
+
+
+def test_curve_refuses_n_max_above_cap_before_tabulating(monkeypatch, capsys):
+    def no_row(n):
+        raise AssertionError("curve tabulated a row before refusing --n-max")
+
+    monkeypatch.setattr(closed_form, "vn", no_row)
+    cap = closed_form._MAX_N
+    for big in ("3000000000", "1" + "0" * 400):
+        code = cli.main(["curve", "--n-max", big])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"error: --n-max must be an integer in [1, {cap}], got {big}" in captured.err
 
 
 def test_curve_json_format():

@@ -10,6 +10,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segquant import (
     BruteForceLimitError,
@@ -18,7 +20,9 @@ from segquant import (
     Quantizer,
     brute_force,
     distortion,
+    embed,
     feasible_foot_range,
+    forward_map,
     optimal_points,
     oracle,
     riemann_distortion,
@@ -83,6 +87,110 @@ def test_riemann_refuses_panels_above_cap_before_allocating(monkeypatch):
     # at the cap the check passes and the first allocation is reached
     with pytest.raises(Allocated):
         riemann_distortion(q, panels=_RIEMANN_MAX_PANELS)
+
+
+def _direct_riemann(q: Quantizer, panels: int = 100_000) -> float:
+    """Referee: every point evaluated at every panel midpoint."""
+    mids = (np.arange(panels) + 0.5) / panels
+    nearest = np.full(panels, np.inf)
+    for p in q.points:
+        e = embed(p)
+        ax, ay = float(e.x), float(e.y)
+        np.minimum(nearest, (mids - ax) ** 2 + ay * ay, out=nearest)
+    return float(nearest.mean())
+
+
+@st.composite
+def float_quantizers(draw) -> Quantizer:
+    """1 to 64 float points on one constraint or on several.
+
+    Mixed draws give points that are nowhere nearest, and reuse earlier
+    abscissas on other constraints, so that equal abscissas occur.
+    """
+    n = draw(st.integers(1, 64))
+    same = draw(st.booleans())
+    t = draw(st.integers(1, 64))
+    points: dict[float, ConstraintPoint] = {}
+    xs: list[float] = []
+    for _ in range(n):
+        j = t if same else draw(st.integers(1, 64))
+        lo = -1 / j
+        if lo < -F(1, j):
+            lo = math.nextafter(lo, 0.0)
+        if xs and not same and draw(st.booleans()):
+            x = max(draw(st.sampled_from(xs)), lo)
+        else:
+            x = draw(st.floats(lo, 1.0))
+        xs.append(x)
+        p = ConstraintPoint(j, x)
+        points[forward_map(p)] = p
+    return Quantizer(tuple(points[f] for f in sorted(points)))
+
+
+@settings(deadline=None)
+@given(q=float_quantizers(), panels=st.integers(1, 10**4))
+def test_riemann_matches_the_direct_loop(q, panels):
+    # a midpoint where two points tie exactly may take either one's value
+    old = _direct_riemann(q, panels)
+    assert abs(riemann_distortion(q, panels) - old) <= 4 * math.ulp(old)
+
+
+def test_riemann_equals_the_direct_loop_on_jittered_quantizers():
+    # the benchmark's quantizers: 64 jittered points on one constraint
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        t = int(rng.integers(1, 65))
+        jitter = rng.uniform(-0.4, 0.4, size=64)
+        xs = [((j + 0.5 + d) / 64 - 1 / t) / 2 for j, d in enumerate(jitter)]
+        q = Quantizer(tuple(ConstraintPoint(t, float(x)) for x in xs))
+        assert riemann_distortion(q) == _direct_riemann(q)
+
+
+def test_riemann_drops_the_farther_of_two_equal_abscissas():
+    near, far = ConstraintPoint(2, 0.25), ConstraintPoint(1, 0.25)
+    q = Quantizer((near, far))
+    for panels in (1, 10, 10**5):
+        got = riemann_distortion(q, panels)
+        assert got == riemann_distortion(Quantizer((near,)), panels)
+        assert got == _direct_riemann(q, panels)
+
+
+def test_riemann_ignores_a_point_that_is_nowhere_nearest():
+    # (1/4, 5/4) on S_1 is farther from the axis than the two S_8 points
+    # are from any u in [0, 1]
+    left, right = ConstraintPoint(8, 0.0), ConstraintPoint(8, 0.5)
+    q = Quantizer((left, right, ConstraintPoint(1, 0.25)))
+    for panels in (1, 10, 10**5):
+        got = riemann_distortion(q, panels)
+        assert got == riemann_distortion(Quantizer((left, right)), panels)
+        assert got == _direct_riemann(q, panels)
+
+
+def test_riemann_one_point():
+    for j, x in ((1, -1.0), (5, 0.1), (2, 1.0)):
+        q = Quantizer((ConstraintPoint(j, x),))
+        for panels in (1, 7, 10**5):
+            assert riemann_distortion(q, panels) == _direct_riemann(q, panels)
+
+
+def test_riemann_on_fraction_abscissas():
+    q = Quantizer((ConstraintPoint(3, F(-1, 12)), ConstraintPoint(3, F(1, 4))))
+    assert riemann_distortion(q) == _direct_riemann(q)
+    assert abs(riemann_distortion(q) - float(distortion(q))) <= 1e-10
+
+
+def test_riemann_holds_two_arrays_of_panels():
+    # 10**6 float64 panels are 7.6 MiB: the direct loop's third array made a
+    # 22.9 MiB peak
+    for n in (1, 64):
+        q = optimal_points(n)
+        tracemalloc.start()
+        try:
+            riemann_distortion(q, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 def test_riemann_matches_exact_distortion():
