@@ -19,6 +19,7 @@ yields exact rational results, floats yield floats.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -40,6 +41,16 @@ def _check_int(
     ):
         bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
         raise ValueError(f"{label} must be an integer {bounds}, got {value!r}")
+
+
+def _check_positive_real(label: str, value: float) -> None:
+    """The package's one float-parameter check: a finite real > 0, not a bool."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (math.isfinite(value) and value > 0)
+    ):
+        raise ValueError(f"{label} must be a positive finite number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,13 @@ from typing import Optional
 # numpy is imported inside the search functions, so that `import segquant`
 # does not pay its start-up cost
 from . import quantizer as qz
-from .geometry import ConstraintPoint, _check_int, embed, feasible_foot_range
+from .geometry import (
+    ConstraintPoint,
+    _check_int,
+    _check_positive_real,
+    embed,
+    feasible_foot_range,
+)
 
 # the default grid at n = 6 takes about 0.15 s on 2 vCPUs and a 7.1 MiB
 # tracemalloc peak
@@ -59,8 +65,7 @@ class OracleConfig:
     refine_rounds: int = 3
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.grid_step) and self.grid_step > 0):
-            raise ValueError(f"grid_step must be positive, got {self.grid_step!r}")
+        _check_positive_real("grid_step", self.grid_step)
         if self.max_index is not None:
             _check_int("max_index", self.max_index)
         _check_int("refine_rounds", self.refine_rounds, minimum=0)

@@ -10,20 +10,25 @@ a contraction with rate cos^2(pi / (2n)).  The solver accelerates it with a
 Chebyshev semi-iteration: each of its iterations is one Lloyd sweep plus one
 extrapolation, and it converges to the unique fixed point with equispaced
 feet (2j - 1) / (2n) from any valid start in O(n) rather than O(n^2)
-iterations per decade of accuracy.
+iterations per decade of accuracy.  Up to n = 64 points the iteration runs on
+Python lists of floats, which spares a command numpy's import; above, it runs
+on numpy arrays.  Both loops evaluate the same float expressions in the same
+order, so their results are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
-# numpy is imported inside the solver functions, so that the closed-form paths
-# and `import segquant` do not pay its start-up cost
+# numpy is imported only by the solver loop above _LIST_LOOP_MAX_N points, so
+# that `import segquant`, the closed forms and smaller solves never load it
 from .geometry import (
     ConstraintPoint,
     _check_int,
+    _check_positive_real,
     forward_map,
     inverse_map,
     voronoi_breakpoint,
@@ -33,6 +38,12 @@ from .measure import UNIFORM, SupportInterval
 # every list of n points refuses n above this: time and memory grow linearly,
 # and `segquant solve --n 100000` takes 3-6 s and a 190 MB peak RSS (2 vCPUs)
 _MAX_POINTS = 100_000
+
+# the solver loop runs on Python lists up to this many points and on numpy
+# above: in-process the list loop takes about 2x numpy's time at n = 64 and
+# 5x at n = 256, but spares a command the 120-170 ms numpy import; 64 is the
+# largest n that default `verify` and the acceptance gate solve
+_LIST_LOOP_MAX_N = 64
 
 
 class InvalidQuantizerError(ValueError):
@@ -157,8 +168,7 @@ class SolverConfig:
     init_feet: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be a positive finite float, got {self.tol!r}")
+        _check_positive_real("tol", self.tol)
         _check_int("max_iter", self.max_iter)
         if self.init not in ("equispaced-feet", "explicit"):
             raise ValueError(f"unknown init mode {self.init!r}")
@@ -189,10 +199,16 @@ def _perturbed_equispaced_feet(n: int) -> list[float]:
     return [(2 * j - 1) / (2 * n) + (bump if j % 2 == 1 else 0.0) for j in range(1, n + 1)]
 
 
+def _chebyshev_constants(n: int) -> tuple[float, float]:
+    """gamma and sigma^2 / 4 of the Chebyshev semi-iteration for n feet."""
+    rho = math.cos(math.pi / (2 * n)) ** 2
+    return 2.0 / (2.0 - rho), 0.25 * (rho / (2.0 - rho)) ** 2
+
+
 def _solve_loop(
-    x0: np.ndarray, inv_t: float, tol: float, max_iter: int
-) -> tuple[np.ndarray, int, float]:
-    """Chebyshev-accelerated Lloyd sweeps in foot coordinates.
+    x0: list[float], inv_t: float, tol: float, max_iter: int
+) -> tuple[list[float], int, float]:
+    """Chebyshev-accelerated Lloyd sweeps in foot coordinates, on numpy arrays.
 
     Same-constraint breakpoints reduce to x_left + x_right + 1/t, and cell
     midpoints pull back to abscissa (c_left + c_right)/4 - 1/(2t), so the
@@ -215,14 +231,16 @@ def _solve_loop(
     inside (0, 1)) to a valid state, so only the start can be invalid, and
     the caller checks it with partition_of.  An extrapolated state that is
     not valid is replaced by its sweep g_k, and the w sequence restarts.
+
+    solve_fixed_constraint runs this loop above _LIST_LOOP_MAX_N points and
+    its list twin _solve_loop_lists up to there; the two return the same
+    floats, iteration count and movement for the same arguments.
     """
     import numpy as np
 
-    n = x0.size
-    rho = math.cos(math.pi / (2 * n)) ** 2
-    gamma = 2.0 / (2.0 - rho)
-    quarter_sigma2 = 0.25 * (rho / (2.0 - rho)) ** 2
-    x = prev = x0
+    n = len(x0)
+    gamma, quarter_sigma2 = _chebyshev_constants(n)
+    x = prev = np.array(x0)
     cuts = np.zeros(n + 1)
     cuts[-1] = 1.0
     omega = 1.0
@@ -250,6 +268,47 @@ def _solve_loop(
             nxt = g
             step = 0
         prev, x = x, nxt
+    return g.tolist(), iterations, movement
+
+
+def _solve_loop_lists(
+    x0: list[float], inv_t: float, tol: float, max_iter: int
+) -> tuple[list[float], int, float]:
+    """_solve_loop on Python lists, for n up to _LIST_LOOP_MAX_N.
+
+    Every float is computed by the same expression in the same order as in
+    _solve_loop, so the results are bit-identical.  Feet a < b exactly when
+    b - a > 0, so the pairwise test matches the numpy gap test.
+    """
+    n = len(x0)
+    gamma, quarter_sigma2 = _chebyshev_constants(n)
+    half_inv_t = 0.5 * inv_t
+    x = prev = x0
+    omega = 1.0
+    step = 0  # extrapolations since the w sequence last (re)started
+    iterations = 0
+    movement = math.inf
+    for iterations in range(1, max_iter + 1):
+        cuts = [0.0, *[a + b + inv_t for a, b in zip(x, x[1:])], 1.0]
+        g = [0.25 * (lo + hi) - half_inv_t for lo, hi in zip(cuts, cuts[1:])]
+        delta = [a - b for a, b in zip(g, x)]
+        movement = 2.0 * max(max(delta), -min(delta))
+        if movement <= tol or iterations == max_iter:
+            break
+        step += 1
+        if step == 1:  # w_1 = 1
+            nxt = [a + gamma * d for a, d in zip(x, delta)]
+        else:
+            omega = 1.0 / (1.0 - (2.0 if step == 2 else omega) * quarter_sigma2)
+            nxt = [p + omega * (gamma * d + a - p) for p, a, d in zip(prev, x, delta)]
+        if n > 1 and not (
+            all(map(operator.lt, nxt, nxt[1:]))
+            and nxt[0] + nxt[1] + inv_t > 0.0
+            and nxt[-2] + nxt[-1] + inv_t < 1.0
+        ):
+            nxt = g
+            step = 0
+        prev, x = x, nxt
     return g, iterations, movement
 
 
@@ -263,9 +322,9 @@ def solve_fixed_constraint(
     have run, and returns that sweep's result; converged reports which
     happened.  With max_iter=1 the result is lloyd_step of the start, up to
     rounding.  The fixed point has feet (2j - 1) / (2n) regardless of t.
+    Up to _LIST_LOOP_MAX_N points the loop runs on Python lists and numpy is
+    never imported; above, on numpy arrays, with bit-identical results.
     """
-    import numpy as np
-
     _check_int("n", n, maximum=_MAX_POINTS)
     cfg = config if config is not None else SolverConfig()
     if cfg.init == "equispaced-feet":
@@ -278,9 +337,10 @@ def solve_fixed_constraint(
     start = [inverse_map(t, f) for f in feet]
     partition_of(Quantizer(tuple(start)))
     inv_t = 1.0 / t
-    x0 = np.array([float(p.x) for p in start])
-    x, iterations, movement = _solve_loop(x0, inv_t, cfg.tol, cfg.max_iter)
-    q = Quantizer(tuple([ConstraintPoint(t, v) for v in x.tolist()]))
+    x0 = [float(p.x) for p in start]
+    loop = _solve_loop_lists if n <= _LIST_LOOP_MAX_N else _solve_loop
+    x, iterations, movement = loop(x0, inv_t, cfg.tol, cfg.max_iter)
+    q = Quantizer(tuple([ConstraintPoint(t, v) for v in x]))
     return SolverOutcome(
         quantizer=q,
         distortion=distortion(q),

@@ -75,15 +75,23 @@ def test_out_file_matches_stdout(tmp_path):
     assert target.read_text() == to_stdout.stdout
 
 
-def test_closed_form_paths_never_import_numpy():
-    # numpy is loaded on the first solver or oracle call only
+def test_closed_forms_and_solves_up_to_64_points_never_import_numpy():
+    # numpy is loaded by the oracle and by solves above 64 points only
     code = textwrap.dedent(
         """
         import contextlib, io, sys
         import segquant
         from segquant import cli
         segquant.distortion(segquant.optimal_points(2))
-        for argv in (["solve", "--n", "2"], ["curve", "--n-max", "16"], ["dimension"]):
+        segquant.solve_fixed_constraint(64, 64)
+        segquant.lloyd_step(segquant.optimal_points(3), 3)
+        for argv in (
+            ["solve", "--n", "2"],
+            ["curve", "--n-max", "16"],
+            ["dimension"],
+            ["solve", "--n", "8", "--method", "lloyd"],
+            ["solve", "--n", "64", "--method", "lloyd"],
+        ):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) == 0, argv
         assert "numpy" not in sys.modules, "numpy was imported"

@@ -25,6 +25,7 @@ from segquant import (
     solve_fixed_constraint,
     vn,
 )
+from segquant import quantizer
 from conftest import random_same_constraint_quantizer
 
 
@@ -310,19 +311,19 @@ def foot_deviation(n: int, feet) -> float:
 
 
 @st.composite
-def spread_feet(draw) -> tuple[float, ...]:
+def spread_feet(draw, max_n: int = 64) -> tuple[float, ...]:
     """Strictly increasing feet in (0, 1), cut from n + 1 drawn gaps."""
-    n = draw(st.integers(1, 64))
+    n = draw(st.integers(1, max_n))
     gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n + 1, max_size=n + 1))
     total = sum(gaps)
     return tuple(acc / total for acc in itertools.accumulate(gaps[:-1]))
 
 
 @st.composite
-def squeezed_feet(draw) -> tuple[float, ...]:
+def squeezed_feet(draw, max_n: int = 64) -> tuple[float, ...]:
     """Optimal sites squeezed toward 0 by a factor in [0.6, 0.7], each
     jittered by at most a tenth of their spacing: the benchmark's starts."""
-    n = draw(st.integers(20, 64))
+    n = draw(st.integers(20, max_n))
     s = draw(st.floats(0.6, 0.7))
     jitter = draw(st.lists(st.floats(-0.1, 0.1), min_size=n, max_size=n))
     return tuple(s * ((2 * j - 1) / (2 * n) + u / n) for j, u in enumerate(jitter, 1))
@@ -351,3 +352,20 @@ def test_solver_defaults_converge_and_iterations_stay_linear():
     # plain Lloyd sweeping needs about 600,000 sweeps here
     total = sum(solve_fixed_constraint(n, n, GATE).iterations for n in range(1, 65))
     assert total <= 30_000
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # n up to 96: the solver runs the list loop up to 64 points, numpy above
+    feet=st.one_of(spread_feet(96), squeezed_feet(96)),
+    t=st.integers(1, 64),
+    tol=st.sampled_from([1e-4, 1e-12, 1e-13]),
+    max_iter=st.sampled_from([1, 2, 3, 7, 10_000]),
+)
+@example(feet=(-0.285, 0.35, 0.437), t=3, tol=1e-12, max_iter=10_000)
+def test_list_and_numpy_loops_agree_bit_for_bit(feet, t, tol, max_iter):
+    x0 = [float(inverse_map(t, f).x) for f in feet]
+    lists = quantizer._solve_loop_lists(x0, 1.0 / t, tol, max_iter)
+    arrays = quantizer._solve_loop(x0, 1.0 / t, tol, max_iter)
+    # feet, iterations and movement
+    assert lists == arrays

@@ -1,5 +1,6 @@
 """Every public integer parameter refuses bool, float, str and None alike,
-and every list of n points or of samples refuses a length above its cap."""
+every float parameter refuses bool, str and None, and every list of n points
+or of samples refuses a length above its cap."""
 
 from __future__ import annotations
 
@@ -57,6 +58,22 @@ def test_integer_parameters_refuse_non_integers(case):
     if case not in NONE_ALLOWED:
         bad_values.append(None)
     for bad in bad_values:
+        with pytest.raises(ValueError):
+            call(bad)
+
+
+FLOAT_CASES = {
+    "SolverConfig.tol": (lambda v: sq.SolverConfig(tol=v), 1e-3),
+    "OracleConfig.grid_step": (lambda v: sq.OracleConfig(grid_step=v), 1e-2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_CASES))
+def test_float_parameters_refuse_bools_and_non_numbers(case):
+    call, good = FLOAT_CASES[case]
+    call(good)
+    # True would pass as 1.0: SolverConfig(tol=True) stopped a solve early
+    for bad in (True, str(good), None):
         with pytest.raises(ValueError):
             call(bad)
 
