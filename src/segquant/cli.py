@@ -197,8 +197,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # refuse ranges the solver or brute_force would reject, before any solve runs
     geometry._check_int("--n-max", args.n_max, maximum=_MAX_POINTS)
     oracle._check_full_search(args.oracle_n_max)
-    lines = []
+    oracle_cfg = oracle.OracleConfig()
+    # the final grid resolution bounds the abscissa error by
+    # 2 * grid_step / 2**refine_rounds, and a foot 2x + 1/j moves twice as far
+    oracle_tol = 4 * oracle_cfg.grid_step / 2**oracle_cfg.refine_rounds
+    # the oracle runs first: it loads numpy, so the solves below take the
+    # numpy loop, the faster in-process from about n = 40
+    # (quantizer._LIST_LOOP_MAX_N); its lines still print last
+    oracle_lines = []
     all_ok = True
+    for n in range(1, args.oracle_n_max + 1):
+        result = oracle.brute_force(n, oracle_cfg)
+        means = closed_form.unconstrained_means(n)
+        feet = result.quantizer.feet()
+        foot_dev = max(abs(f - m) for f, m in zip(feet, means))
+        index_ok = all(p.j == n for p in result.quantizer.points)
+        ok = index_ok and foot_dev <= oracle_tol
+        all_ok &= ok
+        oracle_lines.append(
+            f"oracle n={n} index={result.quantizer.points[0].j} "
+            f"foot_dev={foot_dev:.3e} {'ok' if ok else 'FAIL'}"
+        )
+    lines = []
     for n in range(1, args.n_max + 1):
         means = closed_form.unconstrained_means(n)
         outcome = solve_fixed_constraint(n, n)
@@ -211,22 +231,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"n={n} foot_dev={foot_dev:.3e} dist_dev={dist_dev:.3e} "
             f"{'ok' if ok else 'FAIL'}"
         )
-    oracle_cfg = oracle.OracleConfig()
-    # the final grid resolution bounds the abscissa error by
-    # 2 * grid_step / 2**refine_rounds, and a foot 2x + 1/j moves twice as far
-    oracle_tol = 4 * oracle_cfg.grid_step / 2**oracle_cfg.refine_rounds
-    for n in range(1, args.oracle_n_max + 1):
-        result = oracle.brute_force(n, oracle_cfg)
-        means = closed_form.unconstrained_means(n)
-        feet = result.quantizer.feet()
-        foot_dev = max(abs(f - m) for f, m in zip(feet, means))
-        index_ok = all(p.j == n for p in result.quantizer.points)
-        ok = index_ok and foot_dev <= oracle_tol
-        all_ok &= ok
-        lines.append(
-            f"oracle n={n} index={result.quantizer.points[0].j} "
-            f"foot_dev={foot_dev:.3e} {'ok' if ok else 'FAIL'}"
-        )
+    lines += oracle_lines
     lines.append("verify: " + ("OK" if all_ok else "FAIL"))
     print("\n".join(lines))
     return 0 if all_ok else 1

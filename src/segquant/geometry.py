@@ -44,12 +44,15 @@ def _check_int(
 
 
 def _check_positive_real(label: str, value: float) -> None:
-    """The package's one float-parameter check: a finite real > 0, not a bool."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not (math.isfinite(value) and value > 0)
-    ):
+    """The package's one float-parameter check: a real > 0 that is finite as a
+    float, not a bool."""
+    ok = not isinstance(value, bool) and isinstance(value, numbers.Real)
+    if ok:
+        try:
+            ok = math.isfinite(value) and value > 0
+        except OverflowError:  # an int or Fraction too large for a float
+            ok = False
+    if not ok:
         raise ValueError(f"{label} must be a positive finite number, got {value!r}")
 
 

@@ -10,20 +10,22 @@ a contraction with rate cos^2(pi / (2n)).  The solver accelerates it with a
 Chebyshev semi-iteration: each of its iterations is one Lloyd sweep plus one
 extrapolation, and it converges to the unique fixed point with equispaced
 feet (2j - 1) / (2n) from any valid start in O(n) rather than O(n^2)
-iterations per decade of accuracy.  Up to n = 64 points the iteration runs on
-Python lists of floats, which spares a command numpy's import; above, it runs
-on numpy arrays.  Both loops evaluate the same float expressions in the same
-order, so their results are bit-identical.
+iterations per decade of accuracy.  While numpy is not yet imported, solves
+of up to 192 points run the iteration on Python lists of floats, which spares
+a command numpy's import; otherwise it runs on numpy arrays.  Both loops
+evaluate the same float expressions in the same order, so their results are
+bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
-# numpy is imported only by the solver loop above _LIST_LOOP_MAX_N points, so
+# numpy is imported only by the numpy solver loop (see _LIST_LOOP_MAX_N), so
 # that `import segquant`, the closed forms and smaller solves never load it
 from .geometry import (
     ConstraintPoint,
@@ -39,11 +41,14 @@ from .measure import UNIFORM, SupportInterval
 # and `segquant solve --n 100000` takes 3-6 s and a 190 MB peak RSS (2 vCPUs)
 _MAX_POINTS = 100_000
 
-# the solver loop runs on Python lists up to this many points and on numpy
-# above: in-process the list loop takes about 2x numpy's time at n = 64 and
-# 5x at n = 256, but spares a command the 120-170 ms numpy import; 64 is the
-# largest n that default `verify` and the acceptance gate solve
-_LIST_LOOP_MAX_N = 64
+# a solve runs the list loop while numpy is not yet imported and n is at most
+# this, and the numpy loop otherwise.  With numpy loaded, the numpy loop is
+# the faster from about n = 40 (2x at n = 64, 5x at 256).  Without, one
+# solve's list loop against numpy's import plus its numpy loop, fresh
+# processes on 2 vCPUs: 126 vs 189 ms at n = 192, 168 vs 195 ms at 224 and
+# 224 vs 202 ms at 256, a crossover near 240 with a 160 ms numpy import and
+# near 210 with a 120 ms one; 192 stays below both
+_LIST_LOOP_MAX_N = 192
 
 
 class InvalidQuantizerError(ValueError):
@@ -232,9 +237,10 @@ def _solve_loop(
     the caller checks it with partition_of.  An extrapolated state that is
     not valid is replaced by its sweep g_k, and the w sequence restarts.
 
-    solve_fixed_constraint runs this loop above _LIST_LOOP_MAX_N points and
-    its list twin _solve_loop_lists up to there; the two return the same
-    floats, iteration count and movement for the same arguments.
+    solve_fixed_constraint runs this loop once numpy is loaded or above
+    _LIST_LOOP_MAX_N points, and its list twin _solve_loop_lists otherwise;
+    the two return the same floats, iteration count and movement for the
+    same arguments.
     """
     import numpy as np
 
@@ -274,7 +280,7 @@ def _solve_loop(
 def _solve_loop_lists(
     x0: list[float], inv_t: float, tol: float, max_iter: int
 ) -> tuple[list[float], int, float]:
-    """_solve_loop on Python lists, for n up to _LIST_LOOP_MAX_N.
+    """_solve_loop on Python lists, for solves that need not load numpy.
 
     Every float is computed by the same expression in the same order as in
     _solve_loop, so the results are bit-identical.  Feet a < b exactly when
@@ -322,8 +328,9 @@ def solve_fixed_constraint(
     have run, and returns that sweep's result; converged reports which
     happened.  With max_iter=1 the result is lloyd_step of the start, up to
     rounding.  The fixed point has feet (2j - 1) / (2n) regardless of t.
-    Up to _LIST_LOOP_MAX_N points the loop runs on Python lists and numpy is
-    never imported; above, on numpy arrays, with bit-identical results.
+    While numpy is not yet imported, up to _LIST_LOOP_MAX_N points, the loop
+    runs on Python lists and does not import it; otherwise it runs on numpy
+    arrays, with bit-identical results.
     """
     _check_int("n", n, maximum=_MAX_POINTS)
     cfg = config if config is not None else SolverConfig()
@@ -338,7 +345,10 @@ def solve_fixed_constraint(
     partition_of(Quantizer(tuple(start)))
     inv_t = 1.0 / t
     x0 = [float(p.x) for p in start]
-    loop = _solve_loop_lists if n <= _LIST_LOOP_MAX_N else _solve_loop
+    if n <= _LIST_LOOP_MAX_N and "numpy" not in sys.modules:
+        loop = _solve_loop_lists
+    else:
+        loop = _solve_loop
     x, iterations, movement = loop(x0, inv_t, cfg.tol, cfg.max_iter)
     q = Quantizer(tuple([ConstraintPoint(t, v) for v in x]))
     return SolverOutcome(

@@ -75,15 +75,17 @@ def test_out_file_matches_stdout(tmp_path):
     assert target.read_text() == to_stdout.stdout
 
 
-def test_closed_forms_and_solves_up_to_64_points_never_import_numpy():
-    # numpy is loaded by the oracle and by solves above 64 points only
+def test_closed_forms_and_small_solves_never_import_numpy():
+    # numpy is loaded by the oracle and by solves above
+    # quantizer._LIST_LOOP_MAX_N points only
     code = textwrap.dedent(
         """
         import contextlib, io, sys
         import segquant
-        from segquant import cli
+        from segquant import cli, quantizer
         segquant.distortion(segquant.optimal_points(2))
         segquant.solve_fixed_constraint(64, 64)
+        segquant.solve_fixed_constraint(quantizer._LIST_LOOP_MAX_N, 1)
         segquant.lloyd_step(segquant.optimal_points(3), 3)
         for argv in (
             ["solve", "--n", "2"],

@@ -354,10 +354,13 @@ def test_solver_defaults_converge_and_iterations_stay_linear():
     assert total <= 30_000
 
 
+# n on both sides of the largest n the solver runs the list loop at
+LOOP_N = quantizer._LIST_LOOP_MAX_N + 32
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    # n up to 96: the solver runs the list loop up to 64 points, numpy above
-    feet=st.one_of(spread_feet(96), squeezed_feet(96)),
+    feet=st.one_of(spread_feet(LOOP_N), squeezed_feet(LOOP_N)),
     t=st.integers(1, 64),
     tol=st.sampled_from([1e-4, 1e-12, 1e-13]),
     max_iter=st.sampled_from([1, 2, 3, 7, 10_000]),
@@ -369,3 +372,15 @@ def test_list_and_numpy_loops_agree_bit_for_bit(feet, t, tol, max_iter):
     arrays = quantizer._solve_loop(x0, 1.0 / t, tol, max_iter)
     # feet, iterations and movement
     assert lists == arrays
+
+
+def test_solver_takes_the_numpy_loop_once_numpy_is_loaded(monkeypatch):
+    # the list loop is for commands that need not import numpy; a process
+    # that has loaded it runs the loop that is faster in-process
+    import numpy  # noqa: F401
+
+    def refuse(*args):
+        raise AssertionError("list loop ran with numpy loaded")
+
+    monkeypatch.setattr(quantizer, "_solve_loop_lists", refuse)
+    assert solve_fixed_constraint(8, 8).converged

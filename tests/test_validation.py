@@ -72,8 +72,9 @@ FLOAT_CASES = {
 def test_float_parameters_refuse_bools_and_non_numbers(case):
     call, good = FLOAT_CASES[case]
     call(good)
-    # True would pass as 1.0: SolverConfig(tol=True) stopped a solve early
-    for bad in (True, str(good), None):
+    # True would pass as 1.0: SolverConfig(tol=True) stopped a solve early;
+    # 10**400 is finite but overflows a float
+    for bad in (True, str(good), None, 10**400):
         with pytest.raises(ValueError):
             call(bad)
 
