@@ -6,8 +6,8 @@ Subcommands: solve (one n, any of the three methods, JSON record), verify
 estimate).  Output is deterministic: fixed field order and shortest
 round-trip float formatting, so identical invocations are byte-identical.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-failure (non-convergence or a collapsed quantizer).
+Exit codes: 0 success, 1 verification failure, 2 usage error or unwritable
+--out, 3 non-convergence, a collapsed quantizer or mixed constraint indices.
 """
 
 from __future__ import annotations
@@ -288,7 +288,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (InvalidQuantizerError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

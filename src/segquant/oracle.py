@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 # numpy is imported inside the search functions, so that `import segquant`
 # does not pay its start-up cost
@@ -90,7 +90,7 @@ def _cell(lo, hi, a, y):
 
 
 def _grid_minimum(
-    n: int, grids: dict[int, np.ndarray]
+    n: int, grids: dict[int, Sequence[float]]
 ) -> Optional[tuple[float, tuple[int, ...], tuple[float, ...]]]:
     """Cheapest valid n-tuple of states, by dynamic programming.
 

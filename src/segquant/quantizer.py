@@ -20,6 +20,7 @@ bit-identical.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -177,12 +178,15 @@ class SolverConfig:
         _check_int("max_iter", self.max_iter)
         if self.init not in ("equispaced-feet", "explicit"):
             raise ValueError(f"unknown init mode {self.init!r}")
-        if self.init == "explicit" and not self.init_feet:
-            raise ValueError("init='explicit' requires init_feet")
         if self.init_feet is not None:
             if self.init != "explicit":
                 raise ValueError(f"init_feet needs init='explicit', got init={self.init!r}")
             object.__setattr__(self, "init_feet", tuple(self.init_feet))
+            for i, f in enumerate(self.init_feet):
+                if isinstance(f, bool) or not isinstance(f, numbers.Real):
+                    raise ValueError(f"init_feet[{i}] must be a real number, got {f!r}")
+        if self.init == "explicit" and not self.init_feet:
+            raise ValueError("init='explicit' requires init_feet")
 
 
 @dataclass(frozen=True)
@@ -211,20 +215,20 @@ def _chebyshev_constants(n: int) -> tuple[float, float]:
 
 
 def _solve_loop(
-    x0: list[float], inv_t: float, tol: float, max_iter: int
+    feet: list[float], tol: float, max_iter: int
 ) -> tuple[list[float], int, float]:
     """Chebyshev-accelerated Lloyd sweeps in foot coordinates, on numpy arrays.
 
-    Same-constraint breakpoints reduce to x_left + x_right + 1/t, and cell
-    midpoints pull back to abscissa (c_left + c_right)/4 - 1/(2t), so the
-    sweep g = Lloyd(x) below equals lloyd_step up to rounding.  It is affine,
-    and its matrix has the exact spectrum {cos^2(k pi / (2n)) : k = 1..n},
-    inside [0, rho] with rho = cos^2(pi / (2n)).  Each iteration runs one sweep
-    g_k = Lloyd(x_k); it stops, returning g_k, once the sweep moves the feet
+    Pair sums s = (0, f_1 + f_2, ..., f_{n-1} + f_n, 2) are twice the
+    breakpoints, so the sweep g = Lloyd(f) below, g_i = (s_i + s_{i+1}) / 4,
+    equals lloyd_step on any constraint up to rounding.  It is affine, and its
+    matrix has the exact spectrum {cos^2(k pi / (2n)) : k = 1..n}, inside
+    [0, rho] with rho = cos^2(pi / (2n)).  Each iteration runs one sweep
+    g_k = Lloyd(f_k); it stops, returning g_k, once the sweep moves the feet
     by at most tol or max_iter iterations have run.  Otherwise it
     extrapolates with the Chebyshev semi-iteration of Golub & Varga (1961):
 
-        x_{k+1} = x_{k-1} + w_{k+1} (gamma (g_k - x_k) + x_k - x_{k-1}),
+        f_{k+1} = f_{k-1} + w_{k+1} (gamma (g_k - f_k) + f_k - f_{k-1}),
 
     with gamma = 2 / (2 - rho) mapping the spectrum onto [-sigma, sigma],
     sigma = rho / (2 - rho), and w_1 = 1, w_2 = 1 / (1 - sigma^2 / 2),
@@ -237,48 +241,46 @@ def _solve_loop(
     the caller checks it with partition_of.  An extrapolated state that is
     not valid is replaced by its sweep g_k, and the w sequence restarts.
 
-    solve_fixed_constraint runs this loop once numpy is loaded or above
-    _LIST_LOOP_MAX_N points, and its list twin _solve_loop_lists otherwise;
-    the two return the same floats, iteration count and movement for the
-    same arguments.
+    Its list twin _solve_loop_lists returns the same floats, iteration count
+    and movement; solve_fixed_constraint picks which of the two runs.
     """
     import numpy as np
 
-    n = len(x0)
+    n = len(feet)
     gamma, quarter_sigma2 = _chebyshev_constants(n)
-    x = prev = np.array(x0)
-    cuts = np.zeros(n + 1)
-    cuts[-1] = 1.0
+    f = prev = np.array(feet)
+    sums = np.zeros(n + 1)
+    sums[-1] = 2.0
     omega = 1.0
     step = 0  # extrapolations since the w sequence last (re)started
     iterations = 0
     movement = math.inf
     for iterations in range(1, max_iter + 1):
-        cuts[1:n] = x[:-1] + x[1:] + inv_t
-        g = 0.25 * (cuts[:-1] + cuts[1:]) - 0.5 * inv_t
-        delta = g - x
-        movement = 2.0 * max(float(delta.max()), -float(delta.min()))
+        sums[1:n] = f[:-1] + f[1:]
+        g = 0.25 * (sums[:-1] + sums[1:])
+        delta = g - f
+        movement = max(float(delta.max()), -float(delta.min()))
         if movement <= tol or iterations == max_iter:
             break
         step += 1
         if step == 1:  # w_1 = 1
-            nxt = x + gamma * delta
+            nxt = f + gamma * delta
         else:
             omega = 1.0 / (1.0 - (2.0 if step == 2 else omega) * quarter_sigma2)
-            nxt = prev + omega * (gamma * delta + x - prev)
+            nxt = prev + omega * (gamma * delta + f - prev)
         if n > 1 and not (
             (nxt[1:] - nxt[:-1]).min() > 0.0
-            and nxt[0] + nxt[1] + inv_t > 0.0
-            and nxt[-2] + nxt[-1] + inv_t < 1.0
+            and nxt[0] + nxt[1] > 0.0
+            and nxt[-2] + nxt[-1] < 2.0
         ):
             nxt = g
             step = 0
-        prev, x = x, nxt
+        prev, f = f, nxt
     return g.tolist(), iterations, movement
 
 
 def _solve_loop_lists(
-    x0: list[float], inv_t: float, tol: float, max_iter: int
+    feet: list[float], tol: float, max_iter: int
 ) -> tuple[list[float], int, float]:
     """_solve_loop on Python lists, for solves that need not load numpy.
 
@@ -286,35 +288,34 @@ def _solve_loop_lists(
     _solve_loop, so the results are bit-identical.  Feet a < b exactly when
     b - a > 0, so the pairwise test matches the numpy gap test.
     """
-    n = len(x0)
+    n = len(feet)
     gamma, quarter_sigma2 = _chebyshev_constants(n)
-    half_inv_t = 0.5 * inv_t
-    x = prev = x0
+    f = prev = feet
     omega = 1.0
     step = 0  # extrapolations since the w sequence last (re)started
     iterations = 0
     movement = math.inf
     for iterations in range(1, max_iter + 1):
-        cuts = [0.0, *[a + b + inv_t for a, b in zip(x, x[1:])], 1.0]
-        g = [0.25 * (lo + hi) - half_inv_t for lo, hi in zip(cuts, cuts[1:])]
-        delta = [a - b for a, b in zip(g, x)]
-        movement = 2.0 * max(max(delta), -min(delta))
+        sums = [0.0, *[a + b for a, b in zip(f, f[1:])], 2.0]
+        g = [0.25 * (lo + hi) for lo, hi in zip(sums, sums[1:])]
+        delta = [a - b for a, b in zip(g, f)]
+        movement = max(max(delta), -min(delta))
         if movement <= tol or iterations == max_iter:
             break
         step += 1
         if step == 1:  # w_1 = 1
-            nxt = [a + gamma * d for a, d in zip(x, delta)]
+            nxt = [a + gamma * d for a, d in zip(f, delta)]
         else:
             omega = 1.0 / (1.0 - (2.0 if step == 2 else omega) * quarter_sigma2)
-            nxt = [p + omega * (gamma * d + a - p) for p, a, d in zip(prev, x, delta)]
+            nxt = [p + omega * (gamma * d + a - p) for p, a, d in zip(prev, f, delta)]
         if n > 1 and not (
             all(map(operator.lt, nxt, nxt[1:]))
-            and nxt[0] + nxt[1] + inv_t > 0.0
-            and nxt[-2] + nxt[-1] + inv_t < 1.0
+            and nxt[0] + nxt[1] > 0.0
+            and nxt[-2] + nxt[-1] < 2.0
         ):
             nxt = g
             step = 0
-        prev, x = x, nxt
+        prev, f = f, nxt
     return g, iterations, movement
 
 
@@ -327,10 +328,11 @@ def solve_fixed_constraint(
     last sweep moves the feet by at most config.tol or max_iter iterations
     have run, and returns that sweep's result; converged reports which
     happened.  With max_iter=1 the result is lloyd_step of the start, up to
-    rounding.  The fixed point has feet (2j - 1) / (2n) regardless of t.
+    rounding.  The loop sees only feet, mapped onto S_t once at the end, so a
+    solve does not depend on t; the fixed point has feet (2j - 1) / (2n).
     While numpy is not yet imported, up to _LIST_LOOP_MAX_N points, the loop
-    runs on Python lists and does not import it; otherwise it runs on numpy
-    arrays, with bit-identical results.
+    runs on Python lists and does not import it; otherwise on numpy arrays,
+    with bit-identical results.
     """
     _check_int("n", n, maximum=_MAX_POINTS)
     cfg = config if config is not None else SolverConfig()
@@ -341,16 +343,13 @@ def solve_fixed_constraint(
         if len(feet) != n:
             raise ValueError(f"init_feet has {len(feet)} entries, expected {n}")
     # validates t, each foot's preimage on S_t and the start's partition
-    start = [inverse_map(t, f) for f in feet]
-    partition_of(Quantizer(tuple(start)))
-    inv_t = 1.0 / t
-    x0 = [float(p.x) for p in start]
+    partition_of(Quantizer(tuple([inverse_map(t, f) for f in feet])))
     if n <= _LIST_LOOP_MAX_N and "numpy" not in sys.modules:
         loop = _solve_loop_lists
     else:
         loop = _solve_loop
-    x, iterations, movement = loop(x0, inv_t, cfg.tol, cfg.max_iter)
-    q = Quantizer(tuple([ConstraintPoint(t, v) for v in x]))
+    feet, iterations, movement = loop(feet, cfg.tol, cfg.max_iter)
+    q = Quantizer(tuple([inverse_map(t, f) for f in feet]))
     return SolverOutcome(
         quantizer=q,
         distortion=distortion(q),

@@ -376,6 +376,26 @@ def test_dimension_refuses_n_max_above_cap(capsys):
         assert "error: n_max must be an integer in [2, 2147483647]" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command", [["solve", "--n", "2"], ["curve", "--n-max", "4"], ["dimension"]]
+)
+def test_unwritable_out_exits_2(command, tmp_path, capsys):
+    for target in (tmp_path, tmp_path / "missing" / "out.txt"):
+        assert cli.main([*command, "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(target) in captured.err
+
+
+def test_mixed_constraint_result_exits_3(capsys):
+    # a grid this coarse puts the cheapest three points on S_1 and S_3
+    args = ["solve", "--n", "3", "--method", "brute-force", "--grid-step", "0.6"]
+    assert cli.main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: result mixes constraint indices [1, 3]\n"
+
+
 def test_non_convergence_exits_3():
     proc = run_cli(
         "solve", "--n", "64", "--method", "lloyd", "--tol", "1e-13", "--max-iter", "2"

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
+import typing
+
 import segquant as sq
 
 
@@ -43,3 +48,26 @@ def test_public_names_are_pinned():
         "voronoi_breakpoint",
     ]
     assert all(hasattr(sq, name) for name in sq.__all__)
+
+
+def test_every_annotation_resolves():
+    # __main__ is skipped: importing it runs the command line
+    checked = 0
+    for info in pkgutil.iter_modules(sq.__path__, "segquant."):
+        if info.name == "segquant.__main__":
+            continue
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                members = [m for m in vars(obj).values() if inspect.isfunction(m)]
+                targets = [obj, *members]
+            elif inspect.isfunction(obj):
+                targets = [obj]
+            else:
+                continue
+            for target in targets:
+                typing.get_type_hints(target)
+                checked += 1
+    assert checked > 50
