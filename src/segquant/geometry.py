@@ -144,6 +144,11 @@ def voronoi_breakpoint(p: ConstraintPoint, q: ConstraintPoint) -> float:
         raise DegenerateBoundaryError(
             f"points with equal abscissas {a.x!r} have no axis crossing"
         )
+    return _bisector(a, b)
+
+
+def _bisector(a: Point, b: Point) -> float:
+    """Axis abscissa equidistant from two plane points with a.x != b.x."""
     sa = a.x * a.x + a.y * a.y
     sb = b.x * b.x + b.y * b.y
     return (sb - sa) / (2 * (b.x - a.x))

@@ -36,9 +36,10 @@ from .geometry import (
 # the default grid at n = 6 takes about 0.15 s on 2 vCPUs and a 7.1 MiB
 # tracemalloc peak
 _FULL_SEARCH_MAX_N = 6
-# riemann_distortion holds two float64 arrays of `panels` entries (midpoints
-# and nearest values), 80 MB each at 10**7 panels: tracemalloc reads a 160 MB
-# peak there, and 16 MB at 10**6, for one point and for 64 alike
+# riemann_distortion holds one float64 array of `panels` entries (the
+# midpoints, overwritten with the nearest values), 80 MB at 10**7 panels:
+# tracemalloc reads an 80 MB peak there, and 8 MB at 10**6, for one point and
+# for 64 alike
 _RIEMANN_MAX_PANELS = 10**7
 # the coarse dynamic program over G grid states holds about five G x G float64
 # tables (8 MB each at G = 1000) plus one index table per point after the
@@ -227,13 +228,18 @@ def riemann_distortion(q: "qz.Quantizer", panels: int = 100_000) -> float:
     alone and shares no code with the Voronoi partition of the quantizer
     module, so this stays an independent cross-check of distortion().  A
     midpoint exactly equidistant from two points may take either one's value,
-    which can differ from the other's in the last bit.  panels is capped at
-    10**7 to bound memory.
+    which can differ from the other's in the last bit.  The midpoints are
+    overwritten in place with those values, so a call allocates one array of
+    panels floats; panels is capped at 10**7 to bound memory.
     """
     import numpy as np
 
     _check_int("panels", panels, maximum=_RIEMANN_MAX_PANELS)
-    mids = (np.arange(panels) + 0.5) / panels
+    # the midpoints, searched for the envelope edges before each segment is
+    # overwritten with its point's squared distances
+    nearest = np.arange(panels, dtype=float)
+    nearest += 0.5
+    nearest /= panels
     # (start, a, y, c) of each envelope line by increasing a; a line is the
     # lowest from its start to the next line's
     hull: list[tuple[float, float, float, float]] = []
@@ -252,13 +258,10 @@ def riemann_distortion(q: "qz.Quantizer", panels: int = 100_000) -> float:
         else:
             start = -math.inf
         hull.append((start, a, y, c))
-    edges = [*np.searchsorted(mids, [h[0] for h in hull]).tolist(), panels]
-    # (mids - a) ** 2 + y * y, computed in place so that no third array of
-    # `panels` entries is made, not even for one point
-    nearest = np.empty(panels)
+    edges = [*np.searchsorted(nearest, [h[0] for h in hull]).tolist(), panels]
     for (_, a, y, _), lo, hi in zip(hull, edges, edges[1:]):
         seg = nearest[lo:hi]
-        np.subtract(mids[lo:hi], a, out=seg)
+        seg -= a
         np.square(seg, out=seg)
         seg += y * y
     return float(nearest.mean())

@@ -30,11 +30,12 @@ from typing import Optional
 # that `import segquant`, the closed forms and smaller solves never load it
 from .geometry import (
     ConstraintPoint,
+    _bisector,
     _check_int,
     _check_positive_real,
+    embed,
     forward_map,
     inverse_map,
-    voronoi_breakpoint,
 )
 from .measure import UNIFORM, SupportInterval
 
@@ -115,8 +116,10 @@ def partition_of(q: Quantizer) -> tuple[float, ...]:
     zero = q.points[0].x - q.points[0].x
     one = zero + 1
     cuts = [zero]
-    for left, right in zip(q.points, q.points[1:]):
-        c = one if left.x == right.x else voronoi_breakpoint(left, right)
+    # each point embedded once; the cut of a pair is voronoi_breakpoint's
+    planar = [embed(p) for p in q.points]
+    for left, right in zip(planar, planar[1:]):
+        c = one if left.x == right.x else _bisector(left, right)
         cuts.append(min(max(c, zero), one))
     cuts.append(one)
     for i in range(len(cuts) - 1):

@@ -179,9 +179,9 @@ def test_riemann_on_fraction_abscissas():
     assert abs(riemann_distortion(q) - float(distortion(q))) <= 1e-10
 
 
-def test_riemann_holds_two_arrays_of_panels():
-    # 10**6 float64 panels are 7.6 MiB: the direct loop's third array made a
-    # 22.9 MiB peak
+def test_riemann_holds_one_array_of_panels():
+    # 10**6 float64 panels are 7.6 MiB: a separate midpoint array made a
+    # 15.3 MiB peak, and the direct loop's third array 22.9 MiB
     for n in (1, 64):
         q = optimal_points(n)
         tracemalloc.start()
@@ -190,7 +190,7 @@ def test_riemann_holds_two_arrays_of_panels():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 20 * 2**20
+        assert peak < 12 * 2**20
 
 
 def test_riemann_matches_exact_distortion():

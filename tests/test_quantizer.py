@@ -14,15 +14,19 @@ from hypothesis import strategies as st
 
 from segquant import (
     ConstraintPoint,
+    DegenerateBoundaryError,
     InvalidQuantizerError,
     Quantizer,
     SolverConfig,
     distortion,
+    forward_map,
     inverse_map,
     lloyd_step,
     optimal_abscissas_exact,
+    optimal_points,
     partition_of,
     solve_fixed_constraint,
+    voronoi_breakpoint,
     vn,
 )
 from segquant import quantizer
@@ -119,6 +123,64 @@ def test_partition_of_random_quantizers_is_sane():
         feet = q.feet()
         for i in range(q.n - 1):
             assert math.isclose(cuts[i + 1], (feet[i] + feet[i + 1]) / 2, abs_tol=1e-12)
+
+
+@st.composite
+def mixed_quantizers(draw) -> Quantizer:
+    """1 to 24 points with feet in [0, 1] and float or Fraction abscissas, on
+    S_t alone or on S_t and S_{t+1}; "twins" draws put some abscissas on both
+    constraints, so equal abscissas occur."""
+    exact = draw(st.booleans())
+    mode = draw(st.sampled_from(["same", "mixed", "twins"]))
+    t = draw(st.integers(1, 64))
+    foot = st.fractions(0, 1, max_denominator=1000) if exact else st.floats(0.0, 1.0)
+    points: dict[float, ConstraintPoint] = {}
+    for f in draw(st.lists(foot, min_size=1, max_size=12)):
+        j = t if mode == "same" else t + draw(st.integers(0, 1))
+        p = inverse_map(j, f)
+        points[forward_map(p)] = p
+        if mode == "twins" and draw(st.booleans()):
+            twin = ConstraintPoint(2 * t + 1 - j, p.x)
+            points[forward_map(twin)] = twin
+    return Quantizer(tuple(points[f] for f in sorted(points)))
+
+
+@settings(deadline=None)
+@given(q=mixed_quantizers())
+def test_partition_of_cuts_at_the_clamped_voronoi_breakpoints(q):
+    zero = q.points[0].x - q.points[0].x
+    one = zero + 1
+    cuts = [zero]
+    for left, right in zip(q.points, q.points[1:]):
+        try:
+            cuts.append(min(max(voronoi_breakpoint(left, right), zero), one))
+        except DegenerateBoundaryError:
+            cuts.append(one)
+    cuts.append(one)
+    empty = [i for i in range(q.n) if not cuts[i] < cuts[i + 1]]
+    if empty:
+        with pytest.raises(InvalidQuantizerError) as e:
+            partition_of(q)
+        assert e.value.index == empty[0]
+    else:
+        # bit for bit: repr tells -0.0 from 0.0 and a Fraction from a float
+        assert list(map(repr, partition_of(q))) == list(map(repr, cuts))
+
+
+def test_partition_of_embeds_each_point_once(monkeypatch):
+    calls = []
+
+    def embed(cp):
+        calls.append(cp)
+        return real_embed(cp)
+
+    real_embed = quantizer.embed
+    monkeypatch.setattr(quantizer, "embed", embed)
+    for n in (1, 2, 64):
+        q = optimal_points(n)
+        calls.clear()
+        partition_of(q)
+        assert calls == list(q.points)
 
 
 # ------------------------------------------------------------------ distortion
