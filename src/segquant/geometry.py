@@ -43,17 +43,24 @@ def _check_int(
         raise ValueError(f"{label} must be an integer {bounds}, got {value!r}")
 
 
-def _check_positive_real(label: str, value: float) -> None:
-    """The package's one float-parameter check: a real > 0 that is finite as a
-    float, not a bool."""
-    ok = not isinstance(value, bool) and isinstance(value, numbers.Real)
-    if ok:
-        try:
-            ok = math.isfinite(value) and value > 0
-        except OverflowError:  # an int or Fraction too large for a float
-            ok = False
+def _check_real(label: str, value: float) -> None:
+    """The package's one coordinate check: a real, not a bool, finite as a float."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int or Fraction too large for a float
+        ok = False
     if not ok:
-        raise ValueError(f"{label} must be a positive finite number, got {value!r}")
+        raise ValueError(f"{label} must be a finite real number, got {value!r}")
+
+
+def _check_positive_real(label: str, value: float) -> None:
+    """The package's one float-parameter check: a numbers.Real > 0 that passes
+    _check_real."""
+    if isinstance(value, numbers.Real):
+        _check_real(label, value)
+        if value > 0:
+            return
+    raise ValueError(f"{label} must be a positive finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +71,8 @@ class Point:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"coordinates must be finite, got ({self.x!r}, {self.y!r})")
+        _check_real("x", self.x)
+        _check_real("y", self.y)
 
 
 @dataclass(frozen=True)
@@ -80,8 +87,7 @@ class ConstraintPoint:
 
     def __post_init__(self) -> None:
         _check_int("constraint index", self.j)
-        if not math.isfinite(self.x):
-            raise ValueError(f"abscissa must be finite, got {self.x!r}")
+        _check_real("abscissa", self.x)
         if not -Fraction(1, self.j) <= self.x <= 1:
             raise ValueError(
                 f"abscissa {self.x!r} outside [-1/{self.j}, 1] for constraint {self.j}"
@@ -114,6 +120,7 @@ def inverse_map(j: int, foot: float) -> ConstraintPoint:
     Rejects feet whose preimage abscissa (foot - 1/j)/2 leaves [-1/j, 1].
     """
     _check_int("constraint index", j)
+    _check_real("foot", foot)
     x = (foot - Fraction(1, j)) / 2
     return ConstraintPoint(j, x)
 

@@ -6,16 +6,16 @@ coordinates (a, b) is the exact quadratic integral
     int_lo^hi ((x - a)^2 + b^2) dx
         = (hi - lo)/3 * (lo^2 + lo*hi + hi^2 - 3a(lo + hi) + 3a^2 + 3b^2).
 
+cell_distortion evaluates it for quantizer.distortion and interval_distortion.
 The measure is the uniform (Lebesgue) measure on [0, 1].  Every integral is
 pure scalar arithmetic and is exact when given Fraction endpoints.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .geometry import ConstraintPoint, _check_int, embed
+from .geometry import ConstraintPoint, Point, _check_int, _check_real, embed
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,18 @@ class SupportInterval:
     hi: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"endpoints must be finite, got [{self.lo!r}, {self.hi!r}]")
+        _check_real("lo", self.lo)
+        _check_real("hi", self.hi)
         if not 0 <= self.lo <= self.hi <= 1:
             raise ValueError(f"need 0 <= lo <= hi <= 1, got [{self.lo!r}, {self.hi!r}]")
+
+
+def cell_distortion(lo: float, hi: float, p: Point) -> float:
+    """Squared distance to the plane point p integrated over [lo, hi]; int
+    literals keep it exact on Fractions."""
+    a, b = p.x, p.y
+    poly = lo * lo + lo * hi + hi * hi - 3 * a * (lo + hi) + 3 * (a * a + b * b)
+    return (hi - lo) * poly / 3
 
 
 @dataclass(frozen=True)
@@ -38,10 +46,7 @@ class UniformSegmentMeasure:
 
     def interval_distortion(self, iv: SupportInterval, cp: ConstraintPoint) -> float:
         """Integral of the squared distance to embed(cp) over iv."""
-        p = embed(cp)
-        lo, hi = iv.lo, iv.hi
-        poly = lo * lo + lo * hi + hi * hi - 3 * p.x * (lo + hi) + 3 * (p.x * p.x + p.y * p.y)
-        return (hi - lo) * poly / 3
+        return cell_distortion(iv.lo, iv.hi, embed(cp))
 
 
 UNIFORM = UniformSegmentMeasure()

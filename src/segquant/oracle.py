@@ -67,6 +67,8 @@ class OracleConfig:
 
     def __post_init__(self) -> None:
         _check_positive_real("grid_step", self.grid_step)
+        # np.arange of a Fraction step builds an object array
+        object.__setattr__(self, "grid_step", float(self.grid_step))
         if self.max_index is not None:
             _check_int("max_index", self.max_index)
         _check_int("refine_rounds", self.refine_rounds, minimum=0)

@@ -30,14 +30,16 @@ from typing import Optional
 # that `import segquant`, the closed forms and smaller solves never load it
 from .geometry import (
     ConstraintPoint,
+    Point,
     _bisector,
     _check_int,
     _check_positive_real,
+    _check_real,
     embed,
     forward_map,
     inverse_map,
 )
-from .measure import UNIFORM, SupportInterval
+from .measure import cell_distortion
 
 # every list of n points refuses n above this: time and memory grow linearly,
 # and `segquant solve --n 100000` takes 3-6 s and a 190 MB peak RSS (2 vCPUs)
@@ -102,22 +104,14 @@ class Quantizer:
         return tuple([p.x for p in self.points])
 
 
-def partition_of(q: Quantizer) -> tuple[float, ...]:
-    """Voronoi partition of the support induced by the quantizer.
-
-    Returns the tuple of breakpoints 0 = c_0 < c_1 < ... < c_n = 1; cell i,
-    the one point i quantizes, is [c_i, c_{i+1}].  Interior breakpoints are
-    clamped into [0, 1], and a pair with equal abscissas cuts at 1: its left
-    point, having the smaller foot, is the nearer one everywhere.  If any
-    cell then collapses the quantizer has an empty cell and is rejected.
-    """
+def _cuts(planar: list[Point]) -> list[float]:
+    """partition_of's breakpoints, cut from the embedded points."""
     # ends in the points' own number type, so Fraction stays exact at n = 1;
     # x - x, unlike 0 * x, is +0.0 for a negative float x
-    zero = q.points[0].x - q.points[0].x
+    zero = planar[0].x - planar[0].x
     one = zero + 1
     cuts = [zero]
-    # each point embedded once; the cut of a pair is voronoi_breakpoint's
-    planar = [embed(p) for p in q.points]
+    # the cut of a pair is voronoi_breakpoint's
     for left, right in zip(planar, planar[1:]):
         c = one if left.x == right.x else _bisector(left, right)
         cuts.append(min(max(c, zero), one))
@@ -127,20 +121,30 @@ def partition_of(q: Quantizer) -> tuple[float, ...]:
             raise InvalidQuantizerError(
                 f"cell {i} of the induced partition is empty", index=i
             )
-    return tuple(cuts)
+    return cuts
+
+
+def partition_of(q: Quantizer) -> tuple[float, ...]:
+    """Voronoi partition of the support induced by the quantizer.
+
+    Returns the tuple of breakpoints 0 = c_0 < c_1 < ... < c_n = 1; cell i,
+    the one point i quantizes, is [c_i, c_{i+1}].  Interior breakpoints are
+    clamped into [0, 1], and a pair with equal abscissas cuts at 1: its left
+    point, having the smaller foot, is the nearer one everywhere.  If any
+    cell then collapses the quantizer has an empty cell and is rejected.
+    """
+    return tuple(_cuts([embed(p) for p in q.points]))
 
 
 def distortion(q: Quantizer) -> float:
     """Mean squared distance from the uniform support to the quantizer.
 
-    Sums the exact integral over each cell [c_i, c_{i+1}], taking
-    consecutive pairs of the breakpoint tuple that partition_of returns.
+    Sums measure.cell_distortion, the exact integral, over each cell
+    [c_i, c_{i+1}] of partition_of's breakpoints against point i.
     """
-    cuts = partition_of(q)
-    return sum(
-        UNIFORM.interval_distortion(SupportInterval(lo, hi), p)
-        for lo, hi, p in zip(cuts, cuts[1:], q.points)
-    )
+    planar = [embed(p) for p in q.points]
+    cuts = _cuts(planar)
+    return sum(cell_distortion(lo, hi, p) for lo, hi, p in zip(cuts, cuts[1:], planar))
 
 
 def lloyd_step(q: Quantizer, t: int) -> Quantizer:
@@ -188,6 +192,7 @@ class SolverConfig:
             for i, f in enumerate(self.init_feet):
                 if isinstance(f, bool) or not isinstance(f, numbers.Real):
                     raise ValueError(f"init_feet[{i}] must be a real number, got {f!r}")
+                _check_real(f"init_feet[{i}]", f)
         if self.init == "explicit" and not self.init_feet:
             raise ValueError("init='explicit' requires init_feet")
 

@@ -18,6 +18,7 @@ from segquant import (
     InvalidQuantizerError,
     Quantizer,
     SolverConfig,
+    SupportInterval,
     distortion,
     forward_map,
     inverse_map,
@@ -29,7 +30,8 @@ from segquant import (
     voronoi_breakpoint,
     vn,
 )
-from segquant import quantizer
+from segquant import measure, quantizer
+from segquant.measure import UNIFORM
 from conftest import random_same_constraint_quantizer
 
 
@@ -191,6 +193,51 @@ def test_distortion_examples():
     assert distortion(Quantizer((ConstraintPoint(1, F(0)),))) == F(4, 3)
     assert distortion(optimal_quantizer(2)) == F(53, 96)
     assert distortion(optimal_quantizer(3)) == F(85, 216)
+
+
+def referee_distortion(q: Quantizer) -> float:
+    """distortion as it stood before it integrated from the cut list: one
+    SupportInterval and one interval_distortion call per cell."""
+    cuts = partition_of(q)
+    return sum(
+        UNIFORM.interval_distortion(SupportInterval(lo, hi), p)
+        for lo, hi, p in zip(cuts, cuts[1:], q.points)
+    )
+
+
+@settings(deadline=None)
+@given(q=mixed_quantizers())
+@example(q=Quantizer((ConstraintPoint(3, F(-1, 6)),)))
+@example(q=Quantizer((ConstraintPoint(2, -0.25), ConstraintPoint(1, -0.25))))
+def test_distortion_equals_the_per_cell_referee(q):
+    try:
+        expected = referee_distortion(q)
+    except InvalidQuantizerError as e:
+        with pytest.raises(InvalidQuantizerError) as got:
+            distortion(q)
+        assert got.value.index == e.index
+        assert str(got.value) == str(e)
+    else:
+        # bit for bit: repr tells -0.0 from 0.0 and a Fraction from a float
+        assert repr(distortion(q)) == repr(expected)
+
+
+def test_distortion_embeds_each_point_once(monkeypatch):
+    calls = []
+
+    def embed(cp):
+        calls.append(cp)
+        return real_embed(cp)
+
+    real_embed = quantizer.embed
+    # both modules, so that a second embedding inside the integral counts too
+    monkeypatch.setattr(quantizer, "embed", embed)
+    monkeypatch.setattr(measure, "embed", embed)
+    for n in (1, 2, 64):
+        q = optimal_points(n)
+        calls.clear()
+        distortion(q)
+        assert calls == list(q.points)
 
 
 def test_distortion_matches_closed_form_along_n():

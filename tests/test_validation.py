@@ -1,8 +1,12 @@
 """Every public integer parameter refuses bool, float, str and None alike,
-every float parameter refuses bool, str and None, and every list of n points
+every float parameter refuses bool, str and None, every coordinate refuses
+bool, infinities and values too large for a float, and every list of n points
 or of samples refuses a length above its cap."""
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -77,6 +81,43 @@ def test_float_parameters_refuse_bools_and_non_numbers(case):
     for bad in (True, str(good), None, 10**400):
         with pytest.raises(ValueError):
             call(bad)
+
+
+def test_fraction_grid_step_searches_as_its_float():
+    # np.arange of a Fraction step built an object array, and _cut divided by 0
+    exact = sq.brute_force(2, sq.OracleConfig(grid_step=Fraction(1, 100)))
+    assert repr(exact) == repr(sq.brute_force(2, sq.OracleConfig(grid_step=0.01)))
+
+
+# (callable, coordinate): a call with the coordinate set to v; bools would
+# pass as 0 and 1, and 10**400 overflowed a float with an OverflowError
+COORDINATE_CASES = {
+    "ConstraintPoint.x": lambda v: sq.ConstraintPoint(1, v),
+    "Point.x": lambda v: sq.Point(v, 0),
+    "Point.y": lambda v: sq.Point(0, v),
+    "SupportInterval.lo": lambda v: sq.SupportInterval(v, 1),
+    "SupportInterval.hi": lambda v: sq.SupportInterval(0, v),
+    "inverse_map.foot": lambda v: sq.inverse_map(1, v),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COORDINATE_CASES))
+def test_coordinates_refuse_bools_and_non_finite_values(case):
+    call = COORDINATE_CASES[case]
+    call(0)
+    call(Fraction(1, 2))
+    for bad in (False, True, 10**400, -(10**400), math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be a finite real number"):
+            call(bad)
+
+
+@pytest.mark.parametrize(
+    "entry", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="10**400")]
+)
+def test_solver_config_refuses_non_finite_init_feet(entry):
+    # these failed only at solve time, 10**400 with a bare OverflowError
+    with pytest.raises(ValueError, match=r"init_feet\[1\]"):
+        sq.SolverConfig(init="explicit", init_feet=(0.25, entry, 0.75))
 
 
 def test_point_lists_refuse_n_above_cap_before_allocating(monkeypatch, capsys):
