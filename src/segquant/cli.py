@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -294,4 +295,14 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def entrypoint() -> None:
+    """Run main() in a CLI process: `python -m segquant` and `segquant`.
+
+    numpy loads lazily, and its OpenBLAS starts a pool of worker threads,
+    about half of a fresh `import numpy`; no segquant code calls BLAS (only
+    elementwise ufuncs, argmin, searchsorted, unique and clip), so the pool
+    starts with one thread unless the user set OPENBLAS_NUM_THREADS.  Only
+    this process entry point sets it: `import segquant` and main() leave
+    os.environ alone.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())

@@ -2,7 +2,8 @@
 
 brute_force knows nothing about the closed forms or the fixed-point solver.
 It puts each of the n points on any constraint index and on a grid over that
-constraint's feasible abscissa range (widened by one grid step on each side)
+constraint's feasible abscissa range (widened by one grid step on each side,
+within the segment's domain [-1/j, 1])
 and finds the exact minimum over all such placements by a dynamic program
 over consecutive pairs of grid states (J. D. Bruce, "Optimum quantization",
 1965; X. Wu, "Optimal quantization by matrix searching", 1991).  Each
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 # numpy is imported inside the search functions, so that `import segquant`
@@ -182,7 +184,12 @@ def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutco
     bounds = {}
     for j in range(1, max_index + 1):
         lo, hi = feasible_foot_range(j)
-        bounds[j] = (lo - step, hi + step)
+        # the widening stays on S_j, whose domain [-1/j, 1] it leaves once
+        # step > 1/(2j); -1.0 / j rounds below -1/j at j = 5
+        floor = -1.0 / j
+        if floor < -Fraction(1, j):
+            floor = math.nextafter(floor, 0.0)
+        bounds[j] = (max(lo - step, floor), min(hi + step, 1.0))
     # the grid lengths np.arange will give, ceil((stop - start) / step), counted
     # before anything is allocated; a subnormal step makes them infinite
     sizes = [(hi + step / 2 - lo) / step for lo, hi in bounds.values()]
@@ -191,7 +198,11 @@ def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutco
             f"grid_step {step!r} makes more than {_MAX_GRID_STATES} grid states "
             f"on S_1 .. S_{max_index}; use a coarser grid_step"
         )
-    coarse = {j: np.arange(lo, hi + step / 2, step) for j, (lo, hi) in bounds.items()}
+    # np.arange may overshoot hi by up to step / 2; the last state stays on S_j
+    coarse = {
+        j: np.minimum(np.arange(lo, hi + step / 2, step), 1.0)
+        for j, (lo, hi) in bounds.items()
+    }
 
     best = _grid_minimum(n, coarse)
     if best is None:

@@ -49,9 +49,10 @@ _MAX_POINTS = 100_000
 # this, and the numpy loop otherwise.  With numpy loaded, the numpy loop is
 # the faster from about n = 40 (2x at n = 64, 5x at 256).  Without, one
 # solve's list loop against numpy's import plus its numpy loop, fresh
-# processes on 2 vCPUs: 126 vs 189 ms at n = 192, 168 vs 195 ms at 224 and
-# 224 vs 202 ms at 256, a crossover near 240 with a 160 ms numpy import and
-# near 210 with a 120 ms one; 192 stays below both
+# processes on 2 vCPUs with one OpenBLAS thread (as the CLI starts it; the
+# import then takes about 50 ms, not 125), min of 9: 123 vs 180 ms at
+# n = 128, 130 vs 160 ms at 160, 160 vs 168 ms at 192 and 177 vs 175 ms at
+# 256, a crossover near 250; 192 stays below it
 _LIST_LOOP_MAX_N = 192
 
 

@@ -388,12 +388,22 @@ def test_unwritable_out_exits_2(command, tmp_path, capsys):
 
 
 def test_mixed_constraint_result_exits_3(capsys):
-    # a grid this coarse puts the cheapest three points on S_1 and S_3
-    args = ["solve", "--n", "3", "--method", "brute-force", "--grid-step", "0.6"]
+    # a grid this coarse puts the cheapest four points on S_2 and S_4
+    args = ["solve", "--n", "4", "--method", "brute-force", "--grid-step", "0.5"]
     assert cli.main(args) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: result mixes constraint indices [1, 3]\n"
+    assert captured.err == "error: result mixes constraint indices [2, 4]\n"
+
+
+def test_coarse_grid_steps_stay_on_the_segments(capsys):
+    # step 10 once searched S_2 off its domain and exited 2 naming x = -1.5;
+    # step 1e308 overflowed the grid state count and was refused
+    args = ["solve", "--method", "brute-force", "--out", os.devnull]
+    assert cli.main([*args, "--n", "2", "--grid-step", "10"]) == 3
+    assert capsys.readouterr().err == "error: no valid candidate on the coarse grid\n"
+    assert cli.main([*args, "--n", "1", "--grid-step", "1e308"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_non_convergence_exits_3():
@@ -410,3 +420,77 @@ def test_main_is_importable_and_returns_codes():
     with pytest.raises(SystemExit) as e:
         cli.main(["solve", "--n", "-2"])
     assert e.value.code == 2
+
+
+# ------------------------------------------------------------ process entry
+
+
+def _exit_code_of_entrypoint(monkeypatch, *argv: str):
+    monkeypatch.setattr(sys, "argv", ["segquant", *argv])
+    with pytest.raises(SystemExit) as e:
+        cli.entrypoint()
+    return e.value.code
+
+
+def test_entrypoint_starts_blas_with_one_thread_unless_the_user_chose(monkeypatch):
+    argv = ("solve", "--n", "1", "--out", os.devnull)
+    # set before deleting, so that monkeypatch restores the variable's absence
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert _exit_code_of_entrypoint(monkeypatch, *argv) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert _exit_code_of_entrypoint(monkeypatch, *argv) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+
+def test_import_and_main_leave_the_environment_alone():
+    code = textwrap.dedent(
+        """
+        import os, sys
+        before = dict(os.environ)
+        import segquant
+        from segquant import cli
+        argv = ["solve", "--n", "2", "--method", "brute-force", "--out", os.devnull]
+        assert cli.main(argv) == 0
+        assert "numpy" in sys.modules
+        assert dict(os.environ) == before
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc/self/task"
+)
+def test_entrypoint_sets_the_blas_thread_count_before_numpy_loads():
+    # brute_force imports numpy; OpenBLAS sizes its pool then, once
+    code = textwrap.dedent(
+        """
+        import os, sys
+        from segquant import cli
+        sys.argv = [
+            "segquant", "solve", "--n", "1", "--method", "brute-force",
+            "--out", os.devnull,
+        ]
+        try:
+            cli.entrypoint()
+        except SystemExit as e:
+            assert e.code == 0, e.code
+        assert "numpy" in sys.modules
+        threads = os.listdir("/proc/self/task")
+        assert len(threads) == 1, threads
+        """
+    )
+    blas_settings = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_settings}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

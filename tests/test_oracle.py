@@ -436,6 +436,28 @@ def test_brute_force_refines_on_the_incumbents_windows(monkeypatch):
             assert after == _enumerated_minimum(n, grids)
 
 
+def test_brute_force_searches_only_points_of_the_segments(monkeypatch):
+    # a step above 1/(2j) widens S_j's feasible range past its domain
+    # [-1/j, 1] (S_2 at step 10 from x = -10.25); -1.0 / 5 rounds below -1/5
+    grids_seen = []
+
+    def spy(n, grids):
+        grids_seen.append(grids)
+        return _grid_minimum(n, grids)
+
+    monkeypatch.setattr(oracle, "_grid_minimum", spy)
+    for n in range(1, _FULL_SEARCH_MAX_N + 1):
+        for step in (0.15, 0.6, 1.2, 10.0, 1e308):
+            try:
+                brute_force(n, OracleConfig(grid_step=step))
+            except RuntimeError as exc:
+                assert str(exc) == "no valid candidate on the coarse grid"
+    assert len(grids_seen) >= 30
+    for grids in grids_seen:
+        for t, grid in grids.items():
+            assert all(-F(1, t) <= x <= 1 for x in grid.tolist()), (t, grid)
+
+
 def test_brute_force_never_holds_a_cube_of_states():
     # the enumeration peaked at 20.6 MiB for n = 3, the pair-state program
     # at about 1.3 MiB; G^3 float64 values at G = 159 states are 30.7 MiB
