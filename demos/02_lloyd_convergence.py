@@ -6,8 +6,8 @@ One sweep repartitions the support at the bisector breakpoints and moves
 each point under its cell's barycenter.  In foot coordinates this is the
 textbook one-dimensional Lloyd map for the uniform density, a contraction
 with rate cos^2(pi / (2n)), so the foot error shrinks geometrically and
-slower for larger n.  The demo measures that rate by stepping one sweep at
-a time (max_iter=1 is one lloyd_step, equal up to rounding).
+slower for larger n.  The demo measures that rate by repeating lloyd_step
+on the solver's first sweep (max_iter=1).
 
 The solver itself extrapolates after every sweep (a Chebyshev
 semi-iteration), which turns the rate into roughly 1 - pi / n per sweep;
@@ -16,7 +16,7 @@ the demo measures that rate too, from the sweeps needed per decade of tol.
 
 import math
 
-from segquant import SolverConfig, solve_fixed_constraint, vn
+from segquant import SolverConfig, lloyd_step, solve_fixed_constraint, vn
 
 
 def foot_error(n: int, feet) -> float:
@@ -26,12 +26,11 @@ def foot_error(n: int, feet) -> float:
 def plain_lloyd_rate(n: int, sweeps: int) -> float:
     """Error ratio per plain sweep over the second half of `sweeps` sweeps,
     once the slowest mode dominates."""
-    feet = solve_fixed_constraint(n, n, SolverConfig(max_iter=1)).quantizer.feet()
-    errors = [foot_error(n, feet)]
+    q = solve_fixed_constraint(n, n, SolverConfig(max_iter=1)).quantizer
+    errors = [foot_error(n, q.feet())]
     for _ in range(sweeps - 1):
-        cfg = SolverConfig(max_iter=1, init="explicit", init_feet=feet)
-        feet = solve_fixed_constraint(n, n, cfg).quantizer.feet()
-        errors.append(foot_error(n, feet))
+        q = lloyd_step(q, n)
+        errors.append(foot_error(n, q.feet()))
     half = sweeps // 2
     return (errors[-1] / errors[half - 1]) ** (1 / (sweeps - half))
 

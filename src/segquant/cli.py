@@ -6,8 +6,10 @@ Subcommands: solve (one n, any of the three methods, JSON record), verify
 estimate).  Output is deterministic: fixed field order and shortest
 round-trip float formatting, so identical invocations are byte-identical.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error or unwritable
---out, 3 non-convergence, a collapsed quantizer or mixed constraint indices.
+Exit codes: 0 success, 1 verification failure, 2 usage error, a flag value
+out of range (reported as "error: <name> must be ...") or unwritable --out,
+3 non-convergence, a collapsed quantizer or mixed constraint indices.  Flags
+parse as plain ints and floats; the library's checks refuse bad values.
 """
 
 from __future__ import annotations
@@ -32,26 +34,6 @@ _FOOT_TOL = 1e-9
 _DISTORTION_TOL = 1e-12
 # a linear curve builds one row per n, about 600 B each, before printing any
 _CURVE_LINEAR_MAX_N = 100_000
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {value}")
-    return value
 
 
 def _emit(out: Optional[str], text: str) -> None:
@@ -110,10 +92,12 @@ def _solve_csv(record: dict) -> str:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     n = args.n
+    # built whichever method runs, so that each refuses its bad flags
+    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
+    oracle_cfg = oracle.OracleConfig(grid_step=args.grid_step)
     if args.method == "closed-form":
         q, dist = closed_form.optimal_points(n), closed_form.vn(n)
     elif args.method == "lloyd":
-        cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
         outcome = solve_fixed_constraint(n, n, cfg)
         if not outcome.converged:
             print(
@@ -124,7 +108,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             return 3
         q, dist = outcome.quantizer, outcome.distortion
     else:
-        outcome = oracle.brute_force(n, oracle.OracleConfig(grid_step=args.grid_step))
+        outcome = oracle.brute_force(n, oracle_cfg)
         q, dist = outcome.quantizer, outcome.distortion
     record = _solve_record(n, args.method, q, dist)
     if args.format == "csv":
@@ -197,6 +181,7 @@ def cmd_dimension(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     # refuse ranges the solver or brute_force would reject, before any solve runs
     geometry._check_int("--n-max", args.n_max, maximum=_MAX_POINTS)
+    geometry._check_int("--oracle-n-max", args.oracle_n_max)
     oracle._check_full_search(args.oracle_n_max)
     oracle_cfg = oracle.OracleConfig()
     # the final grid resolution bounds the abscissa error by
@@ -247,35 +232,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve one n and print the JSON record")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--method",
         choices=("closed-form", "lloyd", "brute-force"),
         default="closed-form",
     )
-    p.add_argument("--tol", type=_positive_float, default=SolverConfig.tol)
-    p.add_argument("--max-iter", type=_positive_int, default=SolverConfig.max_iter)
-    p.add_argument("--grid-step", type=_positive_float, default=oracle.OracleConfig.grid_step)
+    p.add_argument("--tol", type=float, default=SolverConfig.tol)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    p.add_argument("--grid-step", type=float, default=oracle.OracleConfig.grid_step)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="cross-check the three methods")
-    p.add_argument("--n-max", type=_positive_int, default=64)
-    p.add_argument("--oracle-n-max", type=_positive_int, default=3)
+    p.add_argument("--n-max", type=int, default=64)
+    p.add_argument("--oracle-n-max", type=int, default=3)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("curve", help="error table over a range of n")
-    p.add_argument("--n-max", type=_positive_int, required=True)
+    p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--spacing", choices=("linear", "geometric"), default="geometric")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("dimension", help="log-log regression dimension estimate")
-    p.add_argument("--n-min", type=_positive_int, default=64)
-    p.add_argument("--n-max", type=_positive_int, default=16_384)
-    p.add_argument("--samples", type=_positive_int, default=9)
+    p.add_argument("--n-min", type=int, default=64)
+    p.add_argument("--n-max", type=int, default=16_384)
+    p.add_argument("--samples", type=int, default=9)
     p.add_argument("--out")
     p.set_defaults(func=cmd_dimension)
 

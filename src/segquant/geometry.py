@@ -44,23 +44,26 @@ def _check_int(
 
 
 def _check_real(label: str, value: float) -> None:
-    """The package's one coordinate check: a real, not a bool, finite as a float."""
+    """The package's one real-number check: a numbers.Real, not a Python or
+    numpy bool, finite as a float (an int or Fraction too large for one fails)."""
     try:
-        ok = not isinstance(value, bool) and math.isfinite(value)
-    except OverflowError:  # an int or Fraction too large for a float
+        # a float skips the ABC isinstance test, which costs several times
+        # the rest of the check; the object layer runs this per coordinate
+        ok = (
+            type(value) is float
+            or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+        ) and math.isfinite(value)
+    except OverflowError:
         ok = False
     if not ok:
         raise ValueError(f"{label} must be a finite real number, got {value!r}")
 
 
 def _check_positive_real(label: str, value: float) -> None:
-    """The package's one float-parameter check: a numbers.Real > 0 that passes
-    _check_real."""
-    if isinstance(value, numbers.Real):
-        _check_real(label, value)
-        if value > 0:
-            return
-    raise ValueError(f"{label} must be a positive finite number, got {value!r}")
+    """_check_real, and > 0."""
+    _check_real(label, value)
+    if not value > 0:
+        raise ValueError(f"{label} must be a positive finite number, got {value!r}")
 
 
 @dataclass(frozen=True)

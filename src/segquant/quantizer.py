@@ -20,7 +20,6 @@ bit-identical.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -191,8 +190,6 @@ class SolverConfig:
                 raise ValueError(f"init_feet needs init='explicit', got init={self.init!r}")
             object.__setattr__(self, "init_feet", tuple(self.init_feet))
             for i, f in enumerate(self.init_feet):
-                if isinstance(f, bool) or not isinstance(f, numbers.Real):
-                    raise ValueError(f"init_feet[{i}] must be a real number, got {f!r}")
                 _check_real(f"init_feet[{i}]", f)
         if self.init == "explicit" and not self.init_feet:
             raise ValueError("init='explicit' requires init_feet")

@@ -119,56 +119,46 @@ def solve_record(*args: str) -> dict:
     return json.loads(proc.stdout)
 
 
-SOLVE_SCHEMA = {
-    "type": "object",
-    "required": [
-        "n",
-        "method",
-        "constraint_index",
-        "points",
-        "breakpoints",
-        "distortion",
-        "excess",
-        "scaled_excess",
-    ],
-    "additionalProperties": False,
-    "properties": {
-        "n": {"type": "integer", "minimum": 1},
-        "method": {"enum": ["closed-form", "lloyd", "brute-force"]},
-        "constraint_index": {"type": "integer", "minimum": 1},
-        "points": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["j", "x", "plane", "foot"],
-                "additionalProperties": False,
-                "properties": {
-                    "j": {"type": "integer", "minimum": 1},
-                    "x": {"type": "number"},
-                    "plane": {
-                        "type": "array",
-                        "items": {"type": "number"},
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                    "foot": {"type": "number"},
-                },
-            },
-        },
-        "breakpoints": {"type": "array", "items": {"type": "number"}},
-        "distortion": {"type": "number"},
-        "excess": {"type": "number"},
-        "scaled_excess": {"type": "number"},
-    },
+RECORD_KEYS = {
+    "n",
+    "method",
+    "constraint_index",
+    "points",
+    "breakpoints",
+    "distortion",
+    "excess",
+    "scaled_excess",
 }
+POINT_KEYS = {"j", "x", "plane", "foot"}
+
+
+def is_number(value) -> bool:
+    # JSON numbers only: bool is an int subclass, so exclude it by type
+    return type(value) in (int, float)
+
+
+def is_index(value) -> bool:
+    return type(value) is int and value >= 1
+
+
+def check_solve_record_schema(record: dict) -> None:
+    assert set(record) == RECORD_KEYS
+    assert is_index(record["n"]) and is_index(record["constraint_index"])
+    assert record["method"] in ("closed-form", "lloyd", "brute-force")
+    assert record["points"]
+    for p in record["points"]:
+        assert set(p) == POINT_KEYS
+        assert is_index(p["j"])
+        assert len(p["plane"]) == 2
+        assert all(map(is_number, [p["x"], p["foot"], *p["plane"]]))
+    scalars = [record["distortion"], record["excess"], record["scaled_excess"]]
+    assert all(map(is_number, [*record["breakpoints"], *scalars]))
 
 
 @pytest.mark.parametrize("method", ["closed-form", "lloyd", "brute-force"])
 def test_solve_record_schema_and_consistency(method):
-    jsonschema = pytest.importorskip("jsonschema")
     record = solve_record("--n", "2", "--method", method)
-    jsonschema.validate(record, SOLVE_SCHEMA)
+    check_solve_record_schema(record)
     assert record["n"] == 2
     assert record["method"] == method
     assert record["constraint_index"] == 2
@@ -417,9 +407,36 @@ def test_non_convergence_exits_3():
 
 def test_main_is_importable_and_returns_codes():
     assert cli.main(["solve", "--n", "1", "--out", "/dev/null"]) == 0
+    assert cli.main(["solve", "--n", "-2"]) == 2
+    # text that is no int at all stays argparse's usage error
     with pytest.raises(SystemExit) as e:
-        cli.main(["solve", "--n", "-2"])
+        cli.main(["solve", "--n", "two"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--n", "0"],
+        ["solve", "--n", "2", "--tol", "0"],
+        ["solve", "--n", "2", "--max-iter", "0", "--method", "brute-force"],
+        ["solve", "--n", "2", "--grid-step", "-1", "--method", "lloyd"],
+        ["verify", "--oracle-n-max", "0"],
+        ["curve", "--n-max", "0"],
+        ["dimension", "--samples", "0"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_flags_exit_2_from_the_library_checks(argv, monkeypatch, capsys):
+    # a flag its method does not read is refused too; verify before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the flag was refused")
+
+    monkeypatch.setattr(cli, "solve_fixed_constraint", no_solve)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 # ------------------------------------------------------------ process entry

@@ -1,13 +1,15 @@
 """Every public integer parameter refuses bool, float, str and None alike,
 every float parameter refuses bool, str and None, every coordinate refuses
-bool, infinities and values too large for a float, and every list of n points
-or of samples refuses a length above its cap."""
+bools, non-reals, infinities and values too large for a float, and every list
+of n points or of samples refuses a length above its cap."""
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import segquant as sq
@@ -90,7 +92,9 @@ def test_fraction_grid_step_searches_as_its_float():
 
 
 # (callable, coordinate): a call with the coordinate set to v; bools would
-# pass as 0 and 1, and 10**400 overflowed a float with an OverflowError
+# pass as 0 and 1, and 10**400 overflowed a float with an OverflowError.
+# A str, None or complex raised a bare TypeError, np.True_ passed as 1, and a
+# Decimal was built and failed later, inside forward_map
 COORDINATE_CASES = {
     "ConstraintPoint.x": lambda v: sq.ConstraintPoint(1, v),
     "Point.x": lambda v: sq.Point(v, 0),
@@ -106,7 +110,9 @@ def test_coordinates_refuse_bools_and_non_finite_values(case):
     call = COORDINATE_CASES[case]
     call(0)
     call(Fraction(1, 2))
-    for bad in (False, True, 10**400, -(10**400), math.inf, math.nan):
+    call(np.float64(0.5))
+    non_reals = ("0.5", None, 0.5j, np.True_, Decimal("0.5"))
+    for bad in (False, True, 10**400, -(10**400), math.inf, math.nan, *non_reals):
         with pytest.raises(ValueError, match="must be a finite real number"):
             call(bad)
 
