@@ -86,7 +86,7 @@ def dimension_regression(
     _check_int("n_min", n_min, minimum=2, maximum=closed_form._MAX_N)
     _check_int("n_max", n_max, minimum=2, maximum=closed_form._MAX_N)
     if not n_min < n_max:
-        raise ValueError(f"need n_min < n_max, got {n_min} >= {n_max}")
+        raise ValueError(f"n_max must be greater than n_min {n_min}, got {n_max}")
     _check_int("samples", samples, minimum=2, maximum=_MAX_SAMPLES)
     ns = _geometric_samples(n_min, n_max, samples)
     xs = [math.log(n) for n in ns]

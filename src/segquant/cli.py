@@ -122,7 +122,7 @@ def _curve_ns(n_max: int, spacing: str) -> list[int]:
     if spacing == "linear":
         if n_max > _CURVE_LINEAR_MAX_N:
             raise ValueError(
-                f"linear spacing supports --n-max <= {_CURVE_LINEAR_MAX_N}, "
+                f"n_max must be <= {_CURVE_LINEAR_MAX_N} with linear spacing, "
                 f"got {n_max}; use --spacing geometric"
             )
         return list(range(1, n_max + 1))
@@ -137,7 +137,7 @@ def _curve_ns(n_max: int, spacing: str) -> list[int]:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    geometry._check_int("--n-max", args.n_max, maximum=closed_form._MAX_N)
+    geometry._check_int("n_max", args.n_max, maximum=closed_form._MAX_N)
     rows = []
     for n in _curve_ns(args.n_max, args.spacing):
         dim = None if n < 2 else asymptotics.dimension_direct(n)
@@ -180,9 +180,10 @@ def cmd_dimension(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # refuse ranges the solver or brute_force would reject, before any solve runs
-    geometry._check_int("--n-max", args.n_max, maximum=_MAX_POINTS)
-    geometry._check_int("--oracle-n-max", args.oracle_n_max)
-    oracle._check_full_search(args.oracle_n_max)
+    geometry._check_int("n_max", args.n_max, maximum=_MAX_POINTS)
+    geometry._check_int(
+        "oracle_n_max", args.oracle_n_max, maximum=oracle._FULL_SEARCH_MAX_N
+    )
     oracle_cfg = oracle.OracleConfig()
     # the final grid resolution bounds the abscissa error by
     # 2 * grid_step / 2**refine_rounds, and a foot 2x + 1/j moves twice as far
@@ -284,7 +285,7 @@ def entrypoint() -> None:
 
     numpy loads lazily, and its OpenBLAS starts a pool of worker threads,
     about half of a fresh `import numpy`; no segquant code calls BLAS (only
-    elementwise ufuncs, argmin, searchsorted, unique and clip), so the pool
+    elementwise ufuncs, argmin, sort and clip), so the pool
     starts with one thread unless the user set OPENBLAS_NUM_THREADS.  Only
     this process entry point sets it: `import segquant` and main() leave
     os.environ alone.

@@ -105,8 +105,13 @@ def squared_distance(p: Point, q: Point) -> float:
 
 
 def embed(cp: ConstraintPoint) -> Point:
-    """Plane coordinates (x, x + 1/j) of a constraint point."""
-    return Point(cp.x, cp.x + Fraction(1, cp.j))
+    """Plane coordinates (x, x + 1/j) of a constraint point.
+
+    A float x takes 1.0 / j, the float that float + Fraction(1, j) rounds
+    1/j to, so y is the same float without building the Fraction.
+    """
+    x = cp.x
+    return Point(x, x + (1.0 / cp.j if type(x) is float else Fraction(1, cp.j)))
 
 
 def forward_map(cp: ConstraintPoint) -> float:

@@ -11,10 +11,11 @@ refinement round runs the same program on halved-step windows around the
 incumbent.  riemann_distortion integrates the pointwise min squared distance
 with a midpoint rule.  It finds the nearest point at each midpoint from the
 lower envelope of the n parabolas (u - a_k)^2 + y_k^2, one per embedded
-point (a_k, y_k), built by one scan over the points sorted by abscissa, in
-O(n log n + panels) time; it shares no partition logic with the quantizer
-module.  Both exist to confirm the rest of the package, so neither uses a
-closed form or the solver.
+point (a_k, y_k), built by one scan over the points sorted by abscissa, and
+sums each envelope segment's run of midpoints in closed form, in O(n log n)
+time whatever the panel count; it shares no partition logic with the
+quantizer module.  Both exist to confirm the rest of the package, so neither
+uses the paper's closed forms or the solver.
 """
 
 from __future__ import annotations
@@ -38,11 +39,9 @@ from .geometry import (
 # the default grid at n = 6 takes about 0.15 s on 2 vCPUs and a 7.1 MiB
 # tracemalloc peak
 _FULL_SEARCH_MAX_N = 6
-# riemann_distortion holds one float64 array of `panels` entries (the
-# midpoints, overwritten with the nearest values), 80 MB at 10**7 panels:
-# tracemalloc reads an 80 MB peak there, and 8 MB at 10**6, for one point and
-# for 64 alike
-_RIEMANN_MAX_PANELS = 10**7
+# riemann_distortion holds O(n) floats whatever panels is; up to 2**52 every
+# midpoint numerator i + 0.5 is an exact float, so _midpoints_below ends
+_RIEMANN_MAX_PANELS = 2**52
 # the coarse dynamic program over G grid states holds about five G x G float64
 # tables (8 MB each at G = 1000) plus one index table per point after the
 # second, in O(n G^3) time: n = 3 at G = 996 takes about 1 s on 2 vCPUs and a
@@ -74,13 +73,6 @@ class OracleConfig:
         if self.max_index is not None:
             _check_int("max_index", self.max_index)
         _check_int("refine_rounds", self.refine_rounds, minimum=0)
-
-
-def _check_full_search(n: int) -> None:
-    if n > _FULL_SEARCH_MAX_N:
-        raise BruteForceLimitError(
-            f"exhaustive search supports n <= {_FULL_SEARCH_MAX_N}, got {n}"
-        )
 
 
 def _cut(a0, y0, a1, y1):
@@ -154,6 +146,15 @@ def _grid_minimum(
     return best, tuple([int(ts[g]) for g in states]), tuple([float(xs[g]) for g in states])
 
 
+def _sorted_unique(values):
+    """np.unique of a float array, without the numpy.ma import that
+    np.unique's first call makes."""
+    import numpy as np
+
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
 def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutcome:
     """Exact grid search for the best n-point quantizer on S_1 .. S_max_index.
 
@@ -173,7 +174,10 @@ def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutco
     import numpy as np
 
     _check_int("n", n)
-    _check_full_search(n)
+    if n > _FULL_SEARCH_MAX_N:
+        raise BruteForceLimitError(
+            f"n must be <= {_FULL_SEARCH_MAX_N} for exhaustive search, got {n}"
+        )
     cfg = config if config is not None else OracleConfig()
     max_index = cfg.max_index if cfg.max_index is not None else n
     if max_index > n:
@@ -195,8 +199,8 @@ def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutco
     sizes = [(hi + step / 2 - lo) / step for lo, hi in bounds.values()]
     if sum(sizes) > _MAX_GRID_STATES or sum(map(math.ceil, sizes)) > _MAX_GRID_STATES:
         raise BruteForceLimitError(
-            f"grid_step {step!r} makes more than {_MAX_GRID_STATES} grid states "
-            f"on S_1 .. S_{max_index}; use a coarser grid_step"
+            f"grid_step must be coarse enough for at most {_MAX_GRID_STATES} "
+            f"grid states on S_1 .. S_{max_index}, got {step!r}"
         )
     # np.arange may overshoot hi by up to step / 2; the last state stays on S_j
     coarse = {
@@ -216,7 +220,7 @@ def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutco
         windows = {t: [] for t in sorted(set(ts))}
         for t, x in zip(ts, positions):
             windows[t].append(np.clip(x + step * np.arange(-2.0, 3.0), *bounds[t]))
-        grids = {t: np.unique(np.concatenate(w)) for t, w in windows.items()}
+        grids = {t: _sorted_unique(np.concatenate(w)) for t, w in windows.items()}
         _, ts, positions = _grid_minimum(n, grids)
 
     q = qz.Quantizer(tuple([ConstraintPoint(t, x) for t, x in zip(ts, positions)]))
@@ -228,6 +232,26 @@ def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutco
     )
 
 
+def _midpoints_below(s: float, panels: int) -> int:
+    """How many of the float midpoints (i + 0.5) / panels lie below s.
+
+    This is the index np.searchsorted(midpoints, s) returns.
+    The estimate ceil(s panels - 0.5) is off by rounding; the fix-up compares
+    the float midpoints themselves, whose numerators i + 0.5 are exact for
+    panels <= 2**52.
+    """
+    if not s > 0.0:
+        return 0
+    if s >= 1.0:
+        return panels
+    i = math.ceil(s * panels - 0.5)
+    while i > 0 and (i - 0.5) / panels >= s:
+        i -= 1
+    while i < panels and (i + 0.5) / panels < s:
+        i += 1
+    return i
+
+
 def riemann_distortion(q: "qz.Quantizer", panels: int = 100_000) -> float:
     """Midpoint-rule integral of the min squared distance to the quantizer.
 
@@ -235,24 +259,20 @@ def riemann_distortion(q: "qz.Quantizer", panels: int = 100_000) -> float:
     u^2 + c_k - 2 a_k u with c_k = a_k^2 + y_k^2, so the nearest point at u is
     the lowest of the lines c_k - 2 a_k u.  Their lower envelope (the 1-D
     squared distance transform of Felzenszwalb and Huttenlocher, Theory of
-    Computing 8, 2012) is one scan over the points sorted by abscissa; each
-    panel midpoint then evaluates only the point whose envelope segment holds
-    it, in O(n log n + panels).  The envelope uses the plane coordinates
-    alone and shares no code with the Voronoi partition of the quantizer
-    module, so this stays an independent cross-check of distortion().  A
-    midpoint exactly equidistant from two points may take either one's value,
-    which can differ from the other's in the last bit.  The midpoints are
-    overwritten in place with those values, so a call allocates one array of
-    panels floats; panels is capped at 10**7 to bound memory.
+    Computing 8, 2012) is one scan over the points sorted by abscissa.  Each
+    envelope segment holds a run of k consecutive panel midpoints centred at
+    c, whose midpoint sum is exactly k ((c - a)^2 + y^2) + k (k^2 - 1) /
+    (12 panels^2); the runs are summed in integers and rounded once.  So a
+    call takes O(n log n) time and O(n) memory whatever panels is, and loads
+    no numpy.  The envelope uses the plane coordinates alone and shares no
+    code with the Voronoi partition of the quantizer module, so this stays an
+    independent cross-check of distortion().  The runs end where the float
+    midpoints pass the float envelope starts, so a midpoint within rounding
+    of a crossing may count for the farther point, which can move the result
+    in the last bit.  panels is capped at 2**52, the largest count whose
+    midpoint numerators i + 0.5 are all exact floats.
     """
-    import numpy as np
-
     _check_int("panels", panels, maximum=_RIEMANN_MAX_PANELS)
-    # the midpoints, searched for the envelope edges before each segment is
-    # overwritten with its point's squared distances
-    nearest = np.arange(panels, dtype=float)
-    nearest += 0.5
-    nearest /= panels
     # (start, a, y, c) of each envelope line by increasing a; a line is the
     # lowest from its start to the next line's
     hull: list[tuple[float, float, float, float]] = []
@@ -271,10 +291,24 @@ def riemann_distortion(q: "qz.Quantizer", panels: int = 100_000) -> float:
         else:
             start = -math.inf
         hull.append((start, a, y, c))
-    edges = [*np.searchsorted(nearest, [h[0] for h in hull]).tolist(), panels]
-    for (_, a, y, _), lo, hi in zip(hull, edges, edges[1:]):
-        seg = nearest[lo:hi]
-        seg -= a
-        np.square(seg, out=seg)
-        seg += y * y
-    return float(nearest.mean())
+    edges = [*(_midpoints_below(h[0], panels) for h in hull), panels]
+    # over a common power-of-two denominator d of the coordinates every
+    # segment's sum is an exact integer, so the result is rounded once
+    d = 1
+    ratios = []
+    for _, a, y, _ in hull:
+        na, da = a.as_integer_ratio()
+        ny, dy = y.as_integer_ratio()
+        ratios.append((na, da, ny, dy))
+        d = max(d, da, dy)
+    offsets = heights = cubes = 0
+    for (na, da, ny, dy), lo, hi in zip(ratios, edges, edges[1:]):
+        k = hi - lo
+        # 2 panels d (c - a) and d y, for the run's centre c = (lo + hi) / (2 panels)
+        u = (lo + hi) * d - 2 * panels * na * (d // da)
+        v = ny * (d // dy)
+        offsets += k * u * u
+        heights += k * v * v
+        cubes += k * k * k - k
+    total = 3 * offsets + 12 * panels * panels * heights + cubes * d * d
+    return total / (12 * panels**3 * d * d)

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -237,7 +238,7 @@ def test_curve_linear_refuses_n_max_above_cap(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "--n-max <= 100000" in captured.err
+    assert "error: n_max must be <= 100000 with linear spacing, got 100001" in captured.err
 
 
 def test_curve_refuses_n_max_above_cap_before_tabulating(monkeypatch, capsys):
@@ -251,7 +252,7 @@ def test_curve_refuses_n_max_above_cap_before_tabulating(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert f"error: --n-max must be an integer in [1, {cap}], got {big}" in captured.err
+        assert f"error: n_max must be an integer in [1, {cap}], got {big}" in captured.err
 
 
 def test_curve_json_format():
@@ -323,7 +324,7 @@ def test_verify_refuses_oracle_n_max_above_cap_before_solving(monkeypatch, capsy
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert f"exhaustive search supports n <= {cap}, got {cap + 1}" in captured.err
+    assert f"error: oracle_n_max must be an integer in [1, {cap}], got {cap + 1}" in captured.err
 
 
 def test_verify_refuses_n_max_above_cap_before_solving(monkeypatch, capsys):
@@ -336,7 +337,7 @@ def test_verify_refuses_n_max_above_cap_before_solving(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert f"--n-max must be an integer in [1, {cap}], got {cap + 1}" in captured.err
+    assert f"error: n_max must be an integer in [1, {cap}], got {cap + 1}" in captured.err
 
 
 # -------------------------------------------------------------- exit codes
@@ -424,11 +425,25 @@ def test_main_is_importable_and_returns_codes():
         ["verify", "--oracle-n-max", "0"],
         ["curve", "--n-max", "0"],
         ["dimension", "--samples", "0"],
+        ["solve", "--n", "100001"],
+        ["solve", "--n", "7", "--method", "brute-force"],
+        ["solve", "--n", "2", "--tol", "inf"],
+        ["solve", "--n", "2", "--grid-step", "1e-5", "--method", "brute-force"],
+        ["verify", "--n-max", "0"],
+        ["verify", "--n-max", "100001"],
+        ["verify", "--oracle-n-max", "7"],
+        ["curve", "--n-max", "3000000000"],
+        ["curve", "--n-max", "100001", "--spacing", "linear"],
+        ["dimension", "--n-min", "1"],
+        ["dimension", "--n-max", "2147483648"],
+        ["dimension", "--n-min", "100", "--n-max", "50"],
+        ["dimension", "--samples", "100001"],
     ],
     ids=" ".join,
 )
 def test_out_of_range_flags_exit_2_from_the_library_checks(argv, monkeypatch, capsys):
-    # a flag its method does not read is refused too; verify before any solve
+    # a flag its method does not read is refused too; verify before any solve;
+    # every refusal names the library parameter, in one wording
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran before the flag was refused")
 
@@ -436,7 +451,7 @@ def test_out_of_range_flags_exit_2_from_the_library_checks(argv, monkeypatch, ca
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert re.match(r"error: [a-z_]+ must be ", captured.err), captured.err
 
 
 # ------------------------------------------------------------ process entry

@@ -1,4 +1,4 @@
-"""Every demo runs to completion against the current library."""
+"""Every demo runs to completion and prints exactly its golden output."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -19,8 +20,8 @@ def test_demo_runs(demo):
     proc = subprocess.run(
         [sys.executable, str(demo)],
         capture_output=True,
-        text=True,
         env=env,
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / f"demo_{demo.stem}.txt").read_bytes()

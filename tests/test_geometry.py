@@ -7,6 +7,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from segquant import (
     ConstraintPoint,
@@ -44,6 +46,35 @@ def test_embed_values():
     assert embed(ConstraintPoint(1, F(-1, 4))) == Point(F(-1, 4), F(3, 4))
     assert embed(ConstraintPoint(2, F(0))) == Point(F(0), F(1, 2))
     assert embed(ConstraintPoint(4, F(1))) == Point(F(1), F(5, 4))
+
+
+@st.composite
+def constraint_points(draw) -> ConstraintPoint:
+    """A point of S_j, j in 1..10**6, with a float, np.float64, int or
+    Fraction abscissa in [-1/j, 1]."""
+    j = draw(st.integers(1, 10**6))
+    kind = draw(st.sampled_from([float, np.float64, int, F]))
+    if kind is int:
+        x = draw(st.integers(-1 if j == 1 else 0, 1))
+    elif kind is F:
+        x = draw(st.fractions(F(-1, j), 1, max_denominator=10**9))
+    else:
+        lo = -1 / j
+        if lo < -F(1, j):
+            lo = math.nextafter(lo, 0.0)
+        x = kind(draw(st.floats(lo, 1.0)))
+    return ConstraintPoint(j, x)
+
+
+@given(cp=constraint_points())
+def test_embed_adds_the_rational_offset(cp):
+    # a float abscissa takes 1.0 / j: the same y, of the same type, as adding
+    # Fraction(1, j)
+    want = Point(cp.x, cp.x + F(1, cp.j))
+    got = embed(cp)
+    assert got == want
+    assert type(got.y) is type(want.y)
+    assert repr(got) == repr(want)
 
 
 def test_constraint_point_rejects_out_of_segment():
