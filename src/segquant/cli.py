@@ -49,12 +49,12 @@ def _solve_record(n: int, method: str, q, dist: float) -> dict:
         raise RuntimeError(f"result mixes constraint indices {sorted(indices)}")
     points = []
     for p in q.points:
-        e = geometry.embed(p)
+        x, y = geometry._plane(p)
         points.append(
             {
                 "j": p.j,
                 "x": float(p.x),
-                "plane": [float(e.x), float(e.y)],
+                "plane": [float(x), float(y)],
                 "foot": float(geometry.forward_map(p)),
             }
         )

@@ -104,14 +104,21 @@ def squared_distance(p: Point, q: Point) -> float:
     return dx * dx + dy * dy
 
 
-def embed(cp: ConstraintPoint) -> Point:
-    """Plane coordinates (x, x + 1/j) of a constraint point.
+def _plane(cp: ConstraintPoint) -> tuple[float, float]:
+    """Plane coordinates (x, x + 1/j) of a constraint point, as a pair.
 
     A float x takes 1.0 / j, the float that float + Fraction(1, j) rounds
-    1/j to, so y is the same float without building the Fraction.
+    1/j to, so y is the same float without building the Fraction.  The
+    integrals and cuts take these pairs, not a Point per call: cp is
+    already validated, and x in [-1/j, 1] keeps y finite.
     """
     x = cp.x
-    return Point(x, x + (1.0 / cp.j if type(x) is float else Fraction(1, cp.j)))
+    return x, x + (1.0 / cp.j if type(x) is float else Fraction(1, cp.j))
+
+
+def embed(cp: ConstraintPoint) -> Point:
+    """Plane coordinates (x, x + 1/j) of a constraint point."""
+    return Point(*_plane(cp))
 
 
 def forward_map(cp: ConstraintPoint) -> float:
@@ -154,16 +161,17 @@ def voronoi_breakpoint(p: ConstraintPoint, q: ConstraintPoint) -> float:
     points lie on the same constraint S_t this reduces to p.x + q.x + 1/t.
     Equal abscissas make the bisector parallel to (or disjoint from) the axis.
     """
-    a, b = embed(p), embed(q)
-    if a.x == b.x:
+    a, b = _plane(p), _plane(q)
+    if a[0] == b[0]:
         raise DegenerateBoundaryError(
-            f"points with equal abscissas {a.x!r} have no axis crossing"
+            f"points with equal abscissas {a[0]!r} have no axis crossing"
         )
     return _bisector(a, b)
 
 
-def _bisector(a: Point, b: Point) -> float:
-    """Axis abscissa equidistant from two plane points with a.x != b.x."""
-    sa = a.x * a.x + a.y * a.y
-    sb = b.x * b.x + b.y * b.y
-    return (sb - sa) / (2 * (b.x - a.x))
+def _bisector(a: tuple[float, float], b: tuple[float, float]) -> float:
+    """Axis abscissa equidistant from two plane points (x, y) with distinct x."""
+    (ax, ay), (bx, by) = a, b
+    sa = ax * ax + ay * ay
+    sb = bx * bx + by * by
+    return (sb - sa) / (2 * (bx - ax))

@@ -1,12 +1,13 @@
 """The uniform measure on the unit support segment and its distortion integrals.
 
 Distortion of a cell [lo, hi] against a constraint point with plane
-coordinates (a, b) is the exact quadratic integral
+coordinates (a, y) is the exact quadratic integral
 
-    int_lo^hi ((x - a)^2 + b^2) dx
-        = (hi - lo)/3 * (lo^2 + lo*hi + hi^2 - 3a(lo + hi) + 3a^2 + 3b^2).
+    int_lo^hi ((x - a)^2 + y^2) dx
+        = (hi - lo)/3 * (lo^2 + lo*hi + hi^2 - 3a(lo + hi) + 3a^2 + 3y^2).
 
-cell_distortion evaluates it for quantizer.distortion and interval_distortion.
+cell_distortion(lo, hi, a, y) evaluates it on the bare coordinates, for
+quantizer.distortion and interval_distortion.
 The measure is the uniform (Lebesgue) measure on [0, 1].  Every integral is
 pure scalar arithmetic and is exact when given Fraction endpoints.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import ConstraintPoint, Point, _check_int, _check_real, embed
+from .geometry import ConstraintPoint, _check_int, _check_real, _plane
 
 
 @dataclass(frozen=True)
@@ -32,11 +33,10 @@ class SupportInterval:
             raise ValueError(f"need 0 <= lo <= hi <= 1, got [{self.lo!r}, {self.hi!r}]")
 
 
-def cell_distortion(lo: float, hi: float, p: Point) -> float:
-    """Squared distance to the plane point p integrated over [lo, hi]; int
-    literals keep it exact on Fractions."""
-    a, b = p.x, p.y
-    poly = lo * lo + lo * hi + hi * hi - 3 * a * (lo + hi) + 3 * (a * a + b * b)
+def cell_distortion(lo: float, hi: float, a: float, y: float) -> float:
+    """Squared distance to the plane point (a, y) integrated over [lo, hi];
+    int literals keep it exact on Fractions."""
+    poly = lo * lo + lo * hi + hi * hi - 3 * a * (lo + hi) + 3 * (a * a + y * y)
     return (hi - lo) * poly / 3
 
 
@@ -46,7 +46,7 @@ class UniformSegmentMeasure:
 
     def interval_distortion(self, iv: SupportInterval, cp: ConstraintPoint) -> float:
         """Integral of the squared distance to embed(cp) over iv."""
-        return cell_distortion(iv.lo, iv.hi, embed(cp))
+        return cell_distortion(iv.lo, iv.hi, *_plane(cp))
 
 
 UNIFORM = UniformSegmentMeasure()

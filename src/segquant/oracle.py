@@ -32,7 +32,7 @@ from .geometry import (
     ConstraintPoint,
     _check_int,
     _check_positive_real,
-    embed,
+    _plane,
     feasible_foot_range,
 )
 
@@ -264,9 +264,10 @@ def riemann_distortion(q: "qz.Quantizer", panels: int = 100_000) -> float:
     c, whose midpoint sum is exactly k ((c - a)^2 + y^2) + k (k^2 - 1) /
     (12 panels^2); the runs are summed in integers and rounded once.  So a
     call takes O(n log n) time and O(n) memory whatever panels is, and loads
-    no numpy.  The envelope uses the plane coordinates alone and shares no
-    code with the Voronoi partition of the quantizer module, so this stays an
-    independent cross-check of distortion().  The runs end where the float
+    no numpy.  The envelope uses the plane coordinates alone, from the
+    geometry._plane pairs that embed is built on, and shares no code with the
+    Voronoi partition of the quantizer module, so this stays an independent
+    cross-check of distortion().  The runs end where the float
     midpoints pass the float envelope starts, so a midpoint within rounding
     of a crossing may count for the farther point, which can move the result
     in the last bit.  panels is capped at 2**52, the largest count whose
@@ -276,7 +277,7 @@ def riemann_distortion(q: "qz.Quantizer", panels: int = 100_000) -> float:
     # (start, a, y, c) of each envelope line by increasing a; a line is the
     # lowest from its start to the next line's
     hull: list[tuple[float, float, float, float]] = []
-    for a, y in sorted((float(e.x), float(e.y)) for e in map(embed, q.points)):
+    for a, y in sorted((float(x), float(y)) for x, y in map(_plane, q.points)):
         if hull and a == hull[-1][1]:
             # nowhere nearest: above the point with this abscissa that the
             # sort put first (y = x + 1/j >= 0)

@@ -29,19 +29,19 @@ from typing import Optional
 # that `import segquant`, the closed forms and smaller solves never load it
 from .geometry import (
     ConstraintPoint,
-    Point,
     _bisector,
     _check_int,
     _check_positive_real,
     _check_real,
-    embed,
+    _plane,
     forward_map,
     inverse_map,
 )
 from .measure import cell_distortion
 
 # every list of n points refuses n above this: time and memory grow linearly,
-# and `segquant solve --n 100000` takes 3-6 s and a 190 MB peak RSS (2 vCPUs)
+# and `segquant solve --n 100000` takes 2.9-5.0 s and a 193 MB peak RSS
+# (2 shared vCPUs, Python 3.11), most of it in optimal_points and json.dumps
 _MAX_POINTS = 100_000
 
 # a solve runs the list loop while numpy is not yet imported and n is at most
@@ -104,16 +104,16 @@ class Quantizer:
         return tuple([p.x for p in self.points])
 
 
-def _cuts(planar: list[Point]) -> list[float]:
-    """partition_of's breakpoints, cut from the embedded points."""
+def _cuts(planar: list[tuple[float, float]]) -> list[float]:
+    """partition_of's breakpoints, cut from the points' plane coordinates."""
     # ends in the points' own number type, so Fraction stays exact at n = 1;
     # x - x, unlike 0 * x, is +0.0 for a negative float x
-    zero = planar[0].x - planar[0].x
+    zero = planar[0][0] - planar[0][0]
     one = zero + 1
     cuts = [zero]
     # the cut of a pair is voronoi_breakpoint's
     for left, right in zip(planar, planar[1:]):
-        c = one if left.x == right.x else _bisector(left, right)
+        c = one if left[0] == right[0] else _bisector(left, right)
         cuts.append(min(max(c, zero), one))
     cuts.append(one)
     for i in range(len(cuts) - 1):
@@ -133,18 +133,21 @@ def partition_of(q: Quantizer) -> tuple[float, ...]:
     point, having the smaller foot, is the nearer one everywhere.  If any
     cell then collapses the quantizer has an empty cell and is rejected.
     """
-    return tuple(_cuts([embed(p) for p in q.points]))
+    return tuple(_cuts([_plane(p) for p in q.points]))
 
 
 def distortion(q: Quantizer) -> float:
     """Mean squared distance from the uniform support to the quantizer.
 
     Sums measure.cell_distortion, the exact integral, over each cell
-    [c_i, c_{i+1}] of partition_of's breakpoints against point i.
+    [c_i, c_{i+1}] of partition_of's breakpoints against the plane
+    coordinates (a_i, y_i) of point i.
     """
-    planar = [embed(p) for p in q.points]
+    planar = [_plane(p) for p in q.points]
     cuts = _cuts(planar)
-    return sum(cell_distortion(lo, hi, p) for lo, hi, p in zip(cuts, cuts[1:], planar))
+    return sum(
+        cell_distortion(lo, hi, a, y) for lo, hi, (a, y) in zip(cuts, cuts[1:], planar)
+    )
 
 
 def lloyd_step(q: Quantizer, t: int) -> Quantizer:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from segquant import ConstraintPoint, Quantizer
+from segquant import ConstraintPoint, Quantizer, geometry
 
 
 def random_feet(rng: np.random.Generator, n: int, min_gap: float = 0.02) -> np.ndarray:
@@ -27,3 +27,18 @@ def random_same_constraint_quantizer(
     return Quantizer(
         tuple(ConstraintPoint(t, float((f - 1.0 / t) / 2.0)) for f in feet)
     )
+
+
+def count_plane_calls(monkeypatch, *modules) -> list:
+    """Record every constraint point that the given modules, or embed, map to
+    the plane through geometry._plane."""
+    calls = []
+
+    def plane(cp):
+        calls.append(cp)
+        return real_plane(cp)
+
+    real_plane = geometry._plane
+    for module in (geometry, *modules):
+        monkeypatch.setattr(module, "_plane", plane)
+    return calls

@@ -49,6 +49,13 @@ def test_solve_golden_bytes():
     assert proc.stdout == (GOLDEN / "solve_n2.json").read_text()
 
 
+def test_solve_csv_n64_golden_bytes():
+    # 64 points' plane, foot and cell fields, not just the n = 2 and n = 3 ones
+    proc = run_cli("solve", "--n", "64", "--format", "csv")
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "solve_n64.csv").read_text()
+
+
 def test_brute_force_golden_bytes():
     # the grid search's output, so that drift in the oracle shows
     proc = run_cli("solve", "--n", "3", "--method", "brute-force")

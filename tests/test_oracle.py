@@ -43,7 +43,7 @@ from segquant.oracle import (
     _grid_minimum,
     _midpoints_below,
 )
-from conftest import random_feet, random_same_constraint_quantizer
+from conftest import count_plane_calls, random_feet, random_same_constraint_quantizer
 
 # discretization tolerances: the final grid resolution with defaults is
 # grid_step / 2**refine_rounds = 1.25e-3, and the distortion is locally
@@ -227,6 +227,15 @@ def test_riemann_on_fraction_abscissas():
     q = Quantizer((ConstraintPoint(3, F(-1, 12)), ConstraintPoint(3, F(1, 4))))
     assert _within_4_ulp(riemann_distortion(q), _direct_riemann(q))
     assert abs(riemann_distortion(q) - float(distortion(q))) <= 1e-10
+
+
+def test_riemann_embeds_each_point_once(monkeypatch):
+    calls = count_plane_calls(monkeypatch, oracle)
+    for n in (1, 2, 64):
+        q = optimal_points(n)
+        calls.clear()
+        riemann_distortion(q)
+        assert calls == list(q.points)
 
 
 def test_riemann_memory_does_not_grow_with_panels():

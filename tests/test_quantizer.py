@@ -20,19 +20,22 @@ from segquant import (
     SolverConfig,
     SupportInterval,
     distortion,
+    embed,
     forward_map,
     inverse_map,
     lloyd_step,
     optimal_abscissas_exact,
     optimal_points,
     partition_of,
+    riemann_distortion,
     solve_fixed_constraint,
     voronoi_breakpoint,
     vn,
 )
 from segquant import measure, quantizer
 from segquant.measure import UNIFORM
-from conftest import random_same_constraint_quantizer
+from segquant.oracle import _midpoints_below
+from conftest import count_plane_calls, random_same_constraint_quantizer
 
 
 def optimal_quantizer(n: int) -> Quantizer:
@@ -170,14 +173,7 @@ def test_partition_of_cuts_at_the_clamped_voronoi_breakpoints(q):
 
 
 def test_partition_of_embeds_each_point_once(monkeypatch):
-    calls = []
-
-    def embed(cp):
-        calls.append(cp)
-        return real_embed(cp)
-
-    real_embed = quantizer.embed
-    monkeypatch.setattr(quantizer, "embed", embed)
+    calls = count_plane_calls(monkeypatch, quantizer)
     for n in (1, 2, 64):
         q = optimal_points(n)
         calls.clear()
@@ -223,21 +219,98 @@ def test_distortion_equals_the_per_cell_referee(q):
 
 
 def test_distortion_embeds_each_point_once(monkeypatch):
-    calls = []
-
-    def embed(cp):
-        calls.append(cp)
-        return real_embed(cp)
-
-    real_embed = quantizer.embed
     # both modules, so that a second embedding inside the integral counts too
-    monkeypatch.setattr(quantizer, "embed", embed)
-    monkeypatch.setattr(measure, "embed", embed)
+    calls = count_plane_calls(monkeypatch, quantizer, measure)
     for n in (1, 2, 64):
         q = optimal_points(n)
         calls.clear()
         distortion(q)
         assert calls == list(q.points)
+
+
+def points_referee(q: Quantizer, panels: int) -> tuple[list, float, float]:
+    """partition_of's cuts, distortion and riemann_distortion as they read
+    on one validated Point per embedded point, before they took the plane
+    coordinates as bare pairs.  Empty cells are not refused here; the caller
+    looks for them."""
+    planar = [embed(p) for p in q.points]
+    zero = planar[0].x - planar[0].x
+    one = zero + 1
+    cuts = [zero]
+    for a, b in zip(planar, planar[1:]):
+        if a.x == b.x:
+            c = one
+        else:
+            sa = a.x * a.x + a.y * a.y
+            sb = b.x * b.x + b.y * b.y
+            c = (sb - sa) / (2 * (b.x - a.x))
+        cuts.append(min(max(c, zero), one))
+    cuts.append(one)
+    total = sum(
+        (hi - lo)
+        * (lo * lo + lo * hi + hi * hi - 3 * p.x * (lo + hi) + 3 * (p.x * p.x + p.y * p.y))
+        / 3
+        for lo, hi, p in zip(cuts, cuts[1:], planar)
+    )
+    hull = []
+    for a, y in sorted((float(e.x), float(e.y)) for e in planar):
+        if hull and a == hull[-1][1]:
+            continue
+        c = a * a + y * y
+        while hull:
+            s0, a0, _, c0 = hull[-1]
+            start = (c - c0) / (2 * (a - a0))
+            if start > s0:
+                break
+            hull.pop()
+        else:
+            start = -math.inf
+        hull.append((start, a, y, c))
+    edges = [*(_midpoints_below(h[0], panels) for h in hull), panels]
+    d = 1
+    ratios = []
+    for _, a, y, _ in hull:
+        na, da = a.as_integer_ratio()
+        ny, dy = y.as_integer_ratio()
+        ratios.append((na, da, ny, dy))
+        d = max(d, da, dy)
+    offsets = heights = cubes = 0
+    for (na, da, ny, dy), lo, hi in zip(ratios, edges, edges[1:]):
+        k = hi - lo
+        u = (lo + hi) * d - 2 * panels * na * (d // da)
+        v = ny * (d // dy)
+        offsets += k * u * u
+        heights += k * v * v
+        cubes += k * k * k - k
+    riemann = (3 * offsets + 12 * panels * panels * heights + cubes * d * d) / (
+        12 * panels**3 * d * d
+    )
+    return cuts, total, riemann
+
+
+@settings(deadline=None)
+@given(
+    q=mixed_quantizers(),
+    panels=st.one_of(st.integers(1, 10**6), st.sampled_from([10**5, 2**52])),
+)
+@example(q=optimal_points(64), panels=10**5)
+@example(q=optimal_quantizer(5), panels=10**5)
+def test_plane_pairs_match_the_points_referee(q, panels):
+    cuts, total, riemann = points_referee(q, panels)
+    # bit for bit: repr tells -0.0 from 0.0 and a Fraction from a float
+    assert repr(riemann_distortion(q, panels)) == repr(riemann)
+    empty = [i for i in range(q.n) if not cuts[i] < cuts[i + 1]]
+    if empty:
+        for f in (partition_of, distortion):
+            with pytest.raises(InvalidQuantizerError) as e:
+                f(q)
+            assert e.value.index == empty[0]
+        return
+    assert list(map(repr, partition_of(q))) == list(map(repr, cuts))
+    assert repr(distortion(q)) == repr(total)
+    if type(q.points[0].x) is F:
+        assert type(distortion(q)) is F
+        assert {type(c) for c in partition_of(q)} == {F}
 
 
 def test_distortion_matches_closed_form_along_n():
