@@ -13,7 +13,10 @@ point is the nearest point of S_j to its own foot), and it is the coordinate
 system in which the fixed-point solver operates.
 
 Scalar functions here are duck-typed: passing fractions.Fraction coordinates
-yields exact rational results, floats yield floats.
+yields exact rational results, floats yield floats.  Every offset 1/j comes
+from _reciprocal, by one rule: a Python float takes 1 / j (int true division,
+correctly rounded for every j), any other number takes Fraction(1, j).  So a
+result is what adding Fraction(1, j) gives, and no float builds the Fraction.
 """
 
 from __future__ import annotations
@@ -104,16 +107,21 @@ def squared_distance(p: Point, q: Point) -> float:
     return dx * dx + dy * dy
 
 
+def _reciprocal(j: int, x: float) -> float:
+    """1/j in the number type of x: the correctly rounded float 1 / j for a
+    Python float x, which is the float that x + Fraction(1, j) adds, and
+    Fraction(1, j) for anything else."""
+    return 1 / j if type(x) is float else Fraction(1, j)
+
+
 def _plane(cp: ConstraintPoint) -> tuple[float, float]:
     """Plane coordinates (x, x + 1/j) of a constraint point, as a pair.
 
-    A float x takes 1.0 / j, the float that float + Fraction(1, j) rounds
-    1/j to, so y is the same float without building the Fraction.  The
-    integrals and cuts take these pairs, not a Point per call: cp is
+    The integrals and cuts take these pairs, not a Point per call: cp is
     already validated, and x in [-1/j, 1] keeps y finite.
     """
     x = cp.x
-    return x, x + (1.0 / cp.j if type(x) is float else Fraction(1, cp.j))
+    return x, x + _reciprocal(cp.j, x)
 
 
 def embed(cp: ConstraintPoint) -> Point:
@@ -126,7 +134,8 @@ def forward_map(cp: ConstraintPoint) -> float:
 
     Strictly increasing in x for fixed j, hence invertible.
     """
-    return 2 * cp.x + Fraction(1, cp.j)
+    x = cp.x
+    return 2 * x + _reciprocal(cp.j, x)
 
 
 def inverse_map(j: int, foot: float) -> ConstraintPoint:
@@ -136,8 +145,7 @@ def inverse_map(j: int, foot: float) -> ConstraintPoint:
     """
     _check_int("constraint index", j)
     _check_real("foot", foot)
-    x = (foot - Fraction(1, j)) / 2
-    return ConstraintPoint(j, x)
+    return ConstraintPoint(j, (foot - _reciprocal(j, foot)) / 2)
 
 
 def feasible_foot_range(j: int) -> tuple[float, float]:
@@ -148,8 +156,7 @@ def feasible_foot_range(j: int) -> tuple[float, float]:
     (0, 1/2).
     """
     _check_int("constraint index", j)
-    half = Fraction(1, 2 * j)
-    return (float(-half), float(Fraction(1, 2) - half))
+    return -1 / (2 * j), (j - 1) / (2 * j)
 
 
 def voronoi_breakpoint(p: ConstraintPoint, q: ConstraintPoint) -> float:

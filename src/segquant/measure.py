@@ -49,9 +49,6 @@ class UniformSegmentMeasure:
         return cell_distortion(iv.lo, iv.hi, *_plane(cp))
 
 
-UNIFORM = UniformSegmentMeasure()
-
-
 def optimal_interval_distortion(iv: SupportInterval, t: int) -> float:
     """Least uniform distortion of the cell iv among points of S_t.
 

@@ -56,6 +56,14 @@ def test_solve_csv_n64_golden_bytes():
     assert proc.stdout == (GOLDEN / "solve_n64.csv").read_text()
 
 
+def test_solve_csv_n64_lloyd_golden_bytes():
+    # the solver route: its x, plane and foot fields come from inverse_map,
+    # _plane and forward_map on the float feet
+    proc = run_cli("solve", "--n", "64", "--method", "lloyd", "--format", "csv")
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "solve_n64_lloyd.csv").read_text()
+
+
 def test_brute_force_golden_bytes():
     # the grid search's output, so that drift in the oracle shows
     proc = run_cli("solve", "--n", "3", "--method", "brute-force")

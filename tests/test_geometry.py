@@ -7,9 +7,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from segquant import geometry
 from segquant import (
     ConstraintPoint,
     DegenerateBoundaryError,
@@ -48,33 +49,83 @@ def test_embed_values():
     assert embed(ConstraintPoint(4, F(1))) == Point(F(1), F(5, 4))
 
 
+# indices on both sides of 2**53, where a float j stops being exact
+INDICES = st.one_of(st.integers(1, 2**70), st.integers(2**53 - 4, 2**53 + 4))
+
+
 @st.composite
-def constraint_points(draw) -> ConstraintPoint:
-    """A point of S_j, j in 1..10**6, with a float, np.float64, int or
-    Fraction abscissa in [-1/j, 1]."""
-    j = draw(st.integers(1, 10**6))
+def numbers(draw, lo: F, hi: int):
+    """A float, np.float64, int or Fraction in [lo, hi], hi an int."""
     kind = draw(st.sampled_from([float, np.float64, int, F]))
     if kind is int:
-        x = draw(st.integers(-1 if j == 1 else 0, 1))
-    elif kind is F:
-        x = draw(st.fractions(F(-1, j), 1, max_denominator=10**9))
-    else:
-        lo = -1 / j
-        if lo < -F(1, j):
-            lo = math.nextafter(lo, 0.0)
-        x = kind(draw(st.floats(lo, 1.0)))
-    return ConstraintPoint(j, x)
+        return draw(st.integers(math.ceil(lo), hi))
+    if kind is F:
+        d = draw(st.integers(1, 2**80))
+        return F(draw(st.integers(math.ceil(lo * d), hi * d)), d)
+    low = float(lo)
+    if low < lo:
+        low = math.nextafter(low, math.inf)
+    return kind(draw(st.floats(low, float(hi))))
+
+
+@st.composite
+def constraint_points(draw) -> ConstraintPoint:
+    """A point of S_j, j in 1..2**70, with a float, np.float64, int or
+    Fraction abscissa in [-1/j, 1]."""
+    j = draw(INDICES)
+    return ConstraintPoint(j, draw(numbers(-F(1, j), 1)))
 
 
 @given(cp=constraint_points())
+@example(cp=ConstraintPoint(2**53 + 1, 0.0))
+@example(cp=ConstraintPoint(2**70, np.float64(-(2.0**-70))))
 def test_embed_adds_the_rational_offset(cp):
-    # a float abscissa takes 1.0 / j: the same y, of the same type, as adding
-    # Fraction(1, j)
-    want = Point(cp.x, cp.x + F(1, cp.j))
+    # Python's own x + Fraction(1, j) rounds 1/j once, correctly, and keeps
+    # exact types exact; a float abscissa takes 1 / j and must give the same
+    # numbers, of the same types, in _plane, embed and forward_map
+    x, r = cp.x, F(1, cp.j)
+    want = Point(x, x + r)
     got = embed(cp)
     assert got == want
     assert type(got.y) is type(want.y)
     assert repr(got) == repr(want)
+    assert repr(geometry._plane(cp)) == repr((x, x + r))
+    assert repr(forward_map(cp)) == repr(2 * x + r)
+
+
+@given(j=INDICES, foot=numbers(F(-1), 3))
+@example(j=2**53 + 1, foot=0.5)
+def test_inverse_map_equals_the_fraction_fallback(j, foot):
+    x = (foot - F(1, j)) / 2
+    if -F(1, j) <= x <= 1:
+        assert repr(inverse_map(j, foot)) == repr(ConstraintPoint(j, x))
+    else:
+        with pytest.raises(ValueError):
+            inverse_map(j, foot)
+
+
+@pytest.mark.parametrize("j", [2**53 + 1, 10**17 + 3])
+def test_plane_and_foot_read_the_same_offset_above_2_53(j):
+    # 1.0 / j would round j to a float first (2**53 + 1 to 2**53), and so
+    # round 1/j twice
+    cp = ConstraintPoint(j, 0.0)
+    assert geometry._plane(cp)[1] == forward_map(cp) == 1 / j
+
+
+def test_float_path_builds_no_fraction(monkeypatch):
+    # ConstraintPoint's domain check is exact, so the points come first
+    js = (1, 7, 2**53 + 1, 10**17 + 3)
+    cases = [(ConstraintPoint(j, 0.3), 0.3 + F(1, j), 0.6 + F(1, j)) for j in js]
+    ranges = [feasible_foot_range(j) for j in js]
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(geometry, "Fraction", refuse)
+    for (cp, y, foot), foot_range in zip(cases, ranges):
+        assert geometry._plane(cp) == (0.3, y)
+        assert forward_map(cp) == foot
+        assert feasible_foot_range(cp.j) == foot_range
 
 
 def test_constraint_point_rejects_out_of_segment():
@@ -149,6 +200,12 @@ def test_feasible_foot_range_values():
     assert feasible_foot_range(2) == (-0.25, 0.25)
     lo, hi = feasible_foot_range(10**6)
     assert abs(lo) < 1e-5 and abs(hi - 0.5) < 1e-5
+
+
+@given(j=INDICES)
+def test_feasible_foot_range_rounds_the_exact_bounds_once(j):
+    half = F(1, 2 * j)
+    assert feasible_foot_range(j) == (float(-half), float(F(1, 2) - half))
 
 
 def test_feasible_foot_range_feet_sweep_unit_interval():

@@ -33,7 +33,7 @@ from segquant import (
     vn,
 )
 from segquant import measure, quantizer
-from segquant.measure import UNIFORM
+from segquant.measure import UniformSegmentMeasure
 from segquant.oracle import _midpoints_below
 from conftest import count_plane_calls, random_same_constraint_quantizer
 
@@ -196,7 +196,7 @@ def referee_distortion(q: Quantizer) -> float:
     SupportInterval and one interval_distortion call per cell."""
     cuts = partition_of(q)
     return sum(
-        UNIFORM.interval_distortion(SupportInterval(lo, hi), p)
+        UniformSegmentMeasure().interval_distortion(SupportInterval(lo, hi), p)
         for lo, hi, p in zip(cuts, cuts[1:], q.points)
     )
 
