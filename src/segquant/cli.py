@@ -188,9 +188,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # the final grid resolution bounds the abscissa error by
     # 2 * grid_step / 2**refine_rounds, and a foot 2x + 1/j moves twice as far
     oracle_tol = 4 * oracle_cfg.grid_step / 2**oracle_cfg.refine_rounds
-    # the oracle runs first: it loads numpy, so the solves below take the
-    # numpy loop, the faster in-process from about n = 40
-    # (quantizer._LIST_LOOP_MAX_N); its lines still print last
+    # the oracle runs first: it loads numpy, so solves of more than
+    # quantizer._LIST_LOOP_IN_PROCESS_MAX_N points take the numpy loop, the
+    # faster in-process there; its lines still print last
     oracle_lines = []
     all_ok = True
     for n in range(1, args.oracle_n_max + 1):

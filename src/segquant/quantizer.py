@@ -10,11 +10,11 @@ a contraction with rate cos^2(pi / (2n)).  The solver accelerates it with a
 Chebyshev semi-iteration: each of its iterations is one Lloyd sweep plus one
 extrapolation, and it converges to the unique fixed point with equispaced
 feet (2j - 1) / (2n) from any valid start in O(n) rather than O(n^2)
-iterations per decade of accuracy.  While numpy is not yet imported, solves
-of up to 192 points run the iteration on Python lists of floats, which spares
-a command numpy's import; otherwise it runs on numpy arrays.  Both loops
-evaluate the same float expressions in the same order, so their results are
-bit-identical.
+iterations per decade of accuracy.  The iteration runs on Python lists of
+floats up to 28 points, where that loop is the faster even with numpy loaded,
+and up to 192 points while numpy is not yet imported, which spares a command
+numpy's import; otherwise it runs on numpy arrays.  Both loops evaluate the
+same float expressions in the same order, so their results are bit-identical.
 """
 
 from __future__ import annotations
@@ -44,14 +44,21 @@ from .measure import cell_distortion
 # (2 shared vCPUs, Python 3.11), most of it in optimal_points and json.dumps
 _MAX_POINTS = 100_000
 
-# a solve runs the list loop while numpy is not yet imported and n is at most
-# this, and the numpy loop otherwise.  With numpy loaded, the numpy loop is
-# the faster from about n = 40 (2x at n = 64, 5x at 256).  Without, one
-# solve's list loop against numpy's import plus its numpy loop, fresh
-# processes on 2 vCPUs with one OpenBLAS thread (as the CLI starts it; the
-# import then takes about 50 ms, not 125), min of 9: 123 vs 180 ms at
-# n = 128, 130 vs 160 ms at 160, 160 vs 168 ms at 192 and 177 vs 175 ms at
-# 256, a crossover near 250; 192 stays below it
+# a solve runs the list loop at n up to _LIST_LOOP_IN_PROCESS_MAX_N, at n up
+# to _LIST_LOOP_MAX_N while numpy is not yet imported, and the numpy loop
+# otherwise.
+#
+# In-process, numpy loaded: the list loop's time over the numpy loop's, both
+# run interleaved on bench lloyd-sweep starts (tol 1e-13), best of 15 x 5
+# runs each, 2 shared vCPUs, Python 3.11: 0.46 at n = 8, 0.60 at 16,
+# 0.76-0.90 at 24, 0.95-1.02 at 28, 0.98-1.03 at 30, 1.06-1.12 at 32,
+# 1.24-1.32 at 40 and 1.85 at 64 (the numpy loop is 5x faster at 256)
+_LIST_LOOP_IN_PROCESS_MAX_N = 28
+# Fresh processes, numpy not imported: one solve's list loop against numpy's
+# import plus its numpy loop, 2 vCPUs with one OpenBLAS thread (as the CLI
+# starts it; the import then takes about 50 ms, not 125), min of 9: 123 vs
+# 180 ms at n = 128, 130 vs 160 ms at 160, 160 vs 168 ms at 192 and 177 vs
+# 175 ms at 256, a crossover near 250; 192 stays below it
 _LIST_LOOP_MAX_N = 192
 
 
@@ -339,9 +346,9 @@ def solve_fixed_constraint(
     happened.  With max_iter=1 the result is lloyd_step of the start, up to
     rounding.  The loop sees only feet, mapped onto S_t once at the end, so a
     solve does not depend on t; the fixed point has feet (2j - 1) / (2n).
-    While numpy is not yet imported, up to _LIST_LOOP_MAX_N points, the loop
-    runs on Python lists and does not import it; otherwise on numpy arrays,
-    with bit-identical results.
+    The loop runs on Python lists up to _LIST_LOOP_IN_PROCESS_MAX_N points,
+    and up to _LIST_LOOP_MAX_N while numpy is not yet imported, without
+    importing it; otherwise on numpy arrays, with bit-identical results.
     """
     _check_int("n", n, maximum=_MAX_POINTS)
     cfg = config if config is not None else SolverConfig()
@@ -353,7 +360,9 @@ def solve_fixed_constraint(
             raise ValueError(f"init_feet has {len(feet)} entries, expected {n}")
     # validates t, each foot's preimage on S_t and the start's partition
     partition_of(Quantizer(tuple([inverse_map(t, f) for f in feet])))
-    if n <= _LIST_LOOP_MAX_N and "numpy" not in sys.modules:
+    if n <= _LIST_LOOP_IN_PROCESS_MAX_N or (
+        n <= _LIST_LOOP_MAX_N and "numpy" not in sys.modules
+    ):
         loop = _solve_loop_lists
     else:
         loop = _solve_loop

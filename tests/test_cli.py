@@ -83,6 +83,14 @@ def test_dimension_golden_bytes():
     assert proc.stdout == (GOLDEN / "dimension_default.txt").read_text()
 
 
+def test_verify_golden_bytes():
+    # with the oracle's numpy loaded, the solves take the list loop up to
+    # quantizer._LIST_LOOP_IN_PROCESS_MAX_N points and the numpy loop above
+    proc = run_cli("verify")
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "verify_default.txt").read_text()
+
+
 def test_out_file_matches_stdout(tmp_path):
     target = tmp_path / "record.json"
     to_file = run_cli("solve", "--n", "3", "--out", str(target))

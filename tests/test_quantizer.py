@@ -584,13 +584,23 @@ def test_list_and_numpy_loops_agree_bit_for_bit(feet, tol, max_iter):
     assert lists == arrays
 
 
-def test_solver_takes_the_numpy_loop_once_numpy_is_loaded(monkeypatch):
-    # the list loop is for commands that need not import numpy; a process
-    # that has loaded it runs the loop that is faster in-process
+@pytest.mark.parametrize(
+    "n, other",
+    [
+        (quantizer._LIST_LOOP_IN_PROCESS_MAX_N, "_solve_loop"),
+        (quantizer._LIST_LOOP_IN_PROCESS_MAX_N + 1, "_solve_loop_lists"),
+    ],
+    ids=["at", "above"],
+)
+def test_solver_with_numpy_loaded_takes_the_list_loop_up_to_the_crossover(
+    n, other, monkeypatch
+):
+    # with numpy loaded, each solve runs the loop that is faster in-process
+    # at its n: the list loop up to the crossover, numpy arrays above it
     import numpy  # noqa: F401
 
     def refuse(*args):
-        raise AssertionError("list loop ran with numpy loaded")
+        raise AssertionError(f"{other} ran at n = {n} with numpy loaded")
 
-    monkeypatch.setattr(quantizer, "_solve_loop_lists", refuse)
-    assert solve_fixed_constraint(8, 8).converged
+    monkeypatch.setattr(quantizer, other, refuse)
+    assert solve_fixed_constraint(n, n).converged
