@@ -24,7 +24,6 @@ from .closed_form import (
 )
 from .geometry import (
     ConstraintPoint,
-    DegenerateBoundaryError,
     Point,
     embed,
     feasible_foot_range,
@@ -38,7 +37,6 @@ from .measure import (
     optimal_interval_distortion,
 )
 from .oracle import (
-    BruteForceLimitError,
     OracleConfig,
     brute_force,
     riemann_distortion,
@@ -57,9 +55,7 @@ from .quantizer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BruteForceLimitError",
     "ConstraintPoint",
-    "DegenerateBoundaryError",
     "InvalidQuantizerError",
     "OracleConfig",
     "Point",

@@ -12,7 +12,10 @@ accumulation set of the constraints).  The excess V_n - V_inf decays like
 1 / (2n), giving quantization dimension 2 and quantization coefficient 1/2.
 
 Everything here is evaluated in exact rational arithmetic and converted to
-float once at the boundary; the *_exact variants expose the rationals.
+float once at the boundary; the *_exact variants expose the rationals.  A
+float ratio of ints is taken by int true division, which Python rounds
+correctly, so it is the float that float(Fraction(p, q)) gives, with no
+Fraction built (the rule of geometry._reciprocal).
 """
 
 from __future__ import annotations
@@ -73,4 +76,4 @@ def unconstrained_means(n: int) -> list[float]:
     in exact arithmetic they equal forward_map of optimal_points(n).
     """
     _check_int("n", n, maximum=_MAX_POINTS)
-    return [float(Fraction(2 * j - 1, 2 * n)) for j in range(1, n + 1)]
+    return [(2 * j - 1) / (2 * n) for j in range(1, n + 1)]

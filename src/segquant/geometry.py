@@ -28,10 +28,6 @@ from fractions import Fraction
 from typing import Optional
 
 
-class DegenerateBoundaryError(ValueError):
-    """The bisector of the two given points never crosses the support axis."""
-
-
 def _check_int(
     label: str, value: int, minimum: int = 1, maximum: Optional[int] = None
 ) -> None:
@@ -170,7 +166,7 @@ def voronoi_breakpoint(p: ConstraintPoint, q: ConstraintPoint) -> float:
     """
     a, b = _plane(p), _plane(q)
     if a[0] == b[0]:
-        raise DegenerateBoundaryError(
+        raise ValueError(
             f"points with equal abscissas {a[0]!r} have no axis crossing"
         )
     return _bisector(a, b)

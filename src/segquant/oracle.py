@@ -1,21 +1,23 @@
 """Independent checks: exact grid search and midpoint Riemann integration.
 
-brute_force knows nothing about the closed forms or the fixed-point solver.
-It puts each of the n points on any constraint index and on a grid over that
-constraint's feasible abscissa range (widened by one grid step on each side,
-within the segment's domain [-1/j, 1])
-and finds the exact minimum over all such placements by a dynamic program
-over consecutive pairs of grid states (J. D. Bruce, "Optimum quantization",
-1965; X. Wu, "Optimal quantization by matrix searching", 1991).  Each
-refinement round runs the same program on halved-step windows around the
-incumbent.  riemann_distortion integrates the pointwise min squared distance
-with a midpoint rule.  It finds the nearest point at each midpoint from the
-lower envelope of the n parabolas (u - a_k)^2 + y_k^2, one per embedded
-point (a_k, y_k), built by one scan over the points sorted by abscissa, and
-sums each envelope segment's run of midpoints in closed form, in O(n log n)
-time whatever the panel count; it shares no partition logic with the
-quantizer module.  Both exist to confirm the rest of the package, so neither
-uses the paper's closed forms or the solver.
+brute_force puts each of the n points on any constraint index and on a grid
+over that constraint's feasible abscissa range (widened by one grid step on
+each side, within the segment's domain [-1/j, 1]) and finds the exact minimum
+over all such placements by a dynamic program over consecutive pairs of grid
+states (J. D. Bruce, "Optimum quantization", 1965; X. Wu, "Optimal
+quantization by matrix searching", 1991).  Each refinement round runs the
+same program on halved-step windows around the incumbent.  Cells are priced
+by measure.cell_distortion, the exact quadratic integral that
+quantizer.distortion sums too: calculus, not a result of the paper, and
+riemann_distortion, which never calls it, stays its referee.
+riemann_distortion integrates the pointwise min squared distance with a
+midpoint rule.  It finds the nearest point at each midpoint from the lower
+envelope of the n parabolas (u - a_k)^2 + y_k^2, one per embedded point
+(a_k, y_k), built by one scan over the points sorted by abscissa, and sums
+each envelope segment's run of midpoints in closed form, in O(n log n) time
+whatever the panel count; it shares no partition logic with the quantizer
+module.  Both exist to confirm the closed forms and the fixed-point solver, so
+neither uses either: a defect shared with what it checks would go unseen.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .geometry import (
     _plane,
     feasible_foot_range,
 )
+from .measure import cell_distortion
 
 # the default grid at n = 6 takes about 0.15 s on 2 vCPUs and a 7.1 MiB
 # tracemalloc peak
@@ -47,10 +50,6 @@ _RIEMANN_MAX_PANELS = 2**52
 # second, in O(n G^3) time: n = 3 at G = 996 takes about 1 s on 2 vCPUs and a
 # 47 MiB tracemalloc peak; the default grid_step gives G = 53 n (318 at n = 6)
 _MAX_GRID_STATES = 1000
-
-
-class BruteForceLimitError(ValueError):
-    """Exhaustive search was requested beyond its combinatorial budget."""
 
 
 @dataclass(frozen=True)
@@ -80,12 +79,6 @@ def _cut(a0, y0, a1, y1):
     return (a1 * a1 + y1 * y1 - a0 * a0 - y0 * y0) / (2.0 * (a1 - a0))
 
 
-def _cell(lo, hi, a, y):
-    """Exact integral of |(u, 0) - (a, y)|^2 over u in [lo, hi]."""
-    poly = lo * lo + lo * hi + hi * hi - 3.0 * a * (lo + hi) + 3.0 * (a * a + y * y)
-    return (hi - lo) * poly / 3.0
-
-
 def _grid_minimum(
     n: int, grids: dict[int, Sequence[float]]
 ) -> Optional[tuple[float, tuple[int, ...], tuple[float, ...]]]:
@@ -107,7 +100,7 @@ def _grid_minimum(
     invs = 1.0 / ts
     ys = xs + invs
     if n == 1:
-        values = _cell(0.0, 1.0, xs, ys)
+        values = cell_distortion(0.0, 1.0, xs, ys)
         k = int(np.argmin(values))
         return float(values[k]), (int(ts[k]),), (float(xs[k]),)
     feet = 2.0 * xs + invs
@@ -115,7 +108,7 @@ def _grid_minimum(
         cut = _cut(xs[:, None], ys[:, None], xs[None, :], ys[None, :])
         pair = feet[:, None] < feet[None, :]
         pair &= np.isfinite(cut) & (cut > 0.0) & (cut < 1.0)
-        value = np.where(pair, _cell(0.0, cut, xs[:, None], ys[:, None]), np.inf)
+        value = np.where(pair, cell_distortion(0.0, cut, xs[:, None], ys[:, None]), np.inf)
     back = []
     for _ in range(n - 2):
         step_value = np.full_like(value, np.inf)
@@ -127,7 +120,7 @@ def _grid_minimum(
                 continue
             lo = cut[before, b][:, None]
             hi = cut[b, after][None, :]
-            cand = value[before, b][:, None] + _cell(lo, hi, xs[b], ys[b])
+            cand = value[before, b][:, None] + cell_distortion(lo, hi, xs[b], ys[b])
             cand = np.where(lo < hi, cand, np.inf)
             k = np.argmin(cand, axis=0)
             step_value[b, after] = cand[k, np.arange(after.size)]
@@ -135,7 +128,9 @@ def _grid_minimum(
         value = step_value
         back.append(step_back)
     with np.errstate(invalid="ignore"):
-        total = np.where(pair, value + _cell(cut, 1.0, xs[None, :], ys[None, :]), np.inf)
+        total = np.where(
+            pair, value + cell_distortion(cut, 1.0, xs[None, :], ys[None, :]), np.inf
+        )
     b, c = np.unravel_index(int(np.argmin(total)), total.shape)
     best = float(total[b, c])
     if not math.isfinite(best):
@@ -175,7 +170,7 @@ def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutco
 
     _check_int("n", n)
     if n > _FULL_SEARCH_MAX_N:
-        raise BruteForceLimitError(
+        raise ValueError(
             f"n must be <= {_FULL_SEARCH_MAX_N} for exhaustive search, got {n}"
         )
     cfg = config if config is not None else OracleConfig()
@@ -198,7 +193,7 @@ def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutco
     # before anything is allocated; a subnormal step makes them infinite
     sizes = [(hi + step / 2 - lo) / step for lo, hi in bounds.values()]
     if sum(sizes) > _MAX_GRID_STATES or sum(map(math.ceil, sizes)) > _MAX_GRID_STATES:
-        raise BruteForceLimitError(
+        raise ValueError(
             f"grid_step must be coarse enough for at most {_MAX_GRID_STATES} "
             f"grid states on S_1 .. S_{max_index}, got {step!r}"
         )

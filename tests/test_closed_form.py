@@ -71,6 +71,21 @@ def test_unconstrained_means_values():
     assert unconstrained_means(4) == [0.125, 0.375, 0.625, 0.875]
 
 
+def test_float_path_builds_no_fraction(monkeypatch):
+    ns = (1, 3, 99_991, 100_000)
+    expected = {n: [float(F(2 * j - 1, 2 * n)) for j in range(1, n + 1)] for n in ns}
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(closed_form, "Fraction", refuse)
+    for n in ns:
+        assert unconstrained_means(n) == expected[n]
+    for n in (0, True, 100_001):
+        with pytest.raises(ValueError):
+            unconstrained_means(n)
+
+
 def test_feet_of_optimal_points_are_the_unconstrained_means():
     for n in (1, 2, 3, 8, 33):
         exact_feet = [

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from segquant import geometry
 from segquant import (
     ConstraintPoint,
-    DegenerateBoundaryError,
     Point,
     embed,
     feasible_foot_range,
@@ -255,8 +254,14 @@ def test_voronoi_breakpoint_matches_bisection_root():
 
 def test_voronoi_breakpoint_degenerate_equal_abscissas():
     # (j=1, x=0) and (j=2, x=0) embed to (0,1) and (0,1/2): same abscissa
-    with pytest.raises(DegenerateBoundaryError):
+    with pytest.raises(
+        ValueError, match=r"^points with equal abscissas 0\.0 have no axis crossing$"
+    ):
         voronoi_breakpoint(ConstraintPoint(1, 0.0), ConstraintPoint(2, 0.0))
+    with pytest.raises(
+        ValueError, match=r"^points with equal abscissas 0\.1 have no axis crossing$"
+    ):
+        voronoi_breakpoint(ConstraintPoint(1, 0.1), ConstraintPoint(2, 0.1))
 
 
 def test_voronoi_breakpoint_equidistance():

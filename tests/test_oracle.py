@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segquant import (
-    BruteForceLimitError,
     ConstraintPoint,
     OracleConfig,
     Quantizer,
@@ -34,11 +33,11 @@ from segquant import (
     solve_fixed_constraint,
     vn,
 )
+from segquant.measure import cell_distortion
 from segquant.oracle import (
     _FULL_SEARCH_MAX_N,
     _MAX_GRID_STATES,
     _RIEMANN_MAX_PANELS,
-    _cell,
     _cut,
     _grid_minimum,
     _midpoints_below,
@@ -346,12 +345,20 @@ def test_brute_force_is_deterministic():
 
 
 def test_brute_force_limits():
-    with pytest.raises(BruteForceLimitError):
+    with pytest.raises(
+        ValueError, match=r"^n must be <= 6 for exhaustive search, got 7$"
+    ):
         brute_force(7)
     with pytest.raises(ValueError):
         brute_force(0)
     with pytest.raises(ValueError):
         brute_force(2, OracleConfig(max_index=3))
+
+
+GRID_STATES_REFUSAL = (
+    rf"^grid_step must be coarse enough for at most {_MAX_GRID_STATES} grid states "
+    r"on S_1 \.\. S_[12], got "
+)
 
 
 def test_brute_force_refuses_grid_states_above_cap_before_allocating(monkeypatch):
@@ -365,14 +372,43 @@ def test_brute_force_refuses_grid_states_above_cap_before_allocating(monkeypatch
     # 10,006 states at n = 2 (G x G tables of 764 MB), a 3.8 GB grid at n = 1,
     # and an infinite count from a subnormal step
     for n, step in ((2, 1e-4), (1, 1e-9), (1, 5e-324)):
-        with pytest.raises(BruteForceLimitError):
+        with pytest.raises(ValueError, match=GRID_STATES_REFUSAL):
             brute_force(n, OracleConfig(grid_step=step))
     # S_1's grid has ceil(0.5 / step + 2.5) states: one above the cap, then
     # exactly the cap, where the check passes and the first allocation is reached
-    with pytest.raises(BruteForceLimitError):
+    with pytest.raises(ValueError, match=GRID_STATES_REFUSAL):
         brute_force(1, OracleConfig(grid_step=0.5 / (_MAX_GRID_STATES - 2)))
     with pytest.raises(Allocated):
         brute_force(1, OracleConfig(grid_step=0.5 / (_MAX_GRID_STATES - 3)))
+
+
+def _float_literal_cell(lo, hi, a, y):
+    # the cell integral with float literals, as a referee: the grid search
+    # needs measure.cell_distortion's int literals to give the same bits
+    poly = lo * lo + lo * hi + hi * hi - 3.0 * a * (lo + hi) + 3.0 * (a * a + y * y)
+    return (hi - lo) * poly / 3.0
+
+
+@settings(deadline=None)
+@given(size=st.integers(1, 6), data=st.data())
+def test_cell_distortion_is_the_float_literal_formula_bit_for_bit(size, data):
+    # nan and inf included: _grid_minimum prices every pair, valid or not
+    column = st.lists(st.floats(), min_size=size, max_size=size).map(np.array)
+    lo, hi, a, y = (data.draw(column) for _ in range(4))
+    # the shapes _grid_minimum passes: the one cell at n = 1, the first cells,
+    # a middle state's np.float64 coordinates, the last cells
+    cases = [
+        (0.0, 1.0, a, y),
+        (0.0, hi[None, :], a[:, None], y[:, None]),
+        (lo[:, None], hi[None, :], a[0], y[0]),
+        (lo[:, None], 1.0, a[None, :], y[None, :]),
+        (lo[0], hi[0], a[0], y[0]),
+    ]
+    with np.errstate(all="ignore"):
+        for args in cases:
+            got, want = cell_distortion(*args), _float_literal_cell(*args)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def _coarse_grids(max_index, step):
@@ -413,7 +449,7 @@ def _grid_distortions(ts: Sequence[int], xs: list[np.ndarray]) -> np.ndarray:
         highs = cuts + [1.0]
         total = np.zeros(xs[0].shape)
         for i in range(n):
-            total += _cell(lows[i], highs[i], xs[i], ys[i])
+            total += cell_distortion(lows[i], highs[i], xs[i], ys[i])
         total = np.where(valid, total, np.inf)
     return total
 

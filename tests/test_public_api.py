@@ -12,9 +12,7 @@ import segquant as sq
 
 def test_public_names_are_pinned():
     assert sorted(sq.__all__) == [
-        "BruteForceLimitError",
         "ConstraintPoint",
-        "DegenerateBoundaryError",
         "InvalidQuantizerError",
         "OracleConfig",
         "Point",

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from segquant import (
     ConstraintPoint,
-    DegenerateBoundaryError,
     InvalidQuantizerError,
     Quantizer,
     SolverConfig,
@@ -159,7 +158,8 @@ def test_partition_of_cuts_at_the_clamped_voronoi_breakpoints(q):
     for left, right in zip(q.points, q.points[1:]):
         try:
             cuts.append(min(max(voronoi_breakpoint(left, right), zero), one))
-        except DegenerateBoundaryError:
+        except ValueError as e:
+            assert "have no axis crossing" in str(e)
             cuts.append(one)
     cuts.append(one)
     empty = [i for i in range(q.n) if not cuts[i] < cuts[i + 1]]
@@ -500,10 +500,11 @@ def test_solver_iteration_count_scales_with_tolerance():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 2: converged bounds the last sweep's movement, not "
-    "the feet's error, which is about 1.5 tol at these n",
+    reason="ROADMAP items 2 and 5: at n = 64, 128 and 256 converged bounds the "
+    "last sweep's movement, not the feet's error, which is about 1.5 tol; at "
+    "n = 2048 the default solve stops after max_iter=10,000 sweeps unconverged",
 )
-@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("n", [64, 128, 256, 2048])
 def test_converged_means_the_feet_are_within_tol(n):
     cfg = SolverConfig()
     out = solve_fixed_constraint(n, n, cfg)
