@@ -133,14 +133,13 @@ def test_point_lists_refuse_n_above_cap_before_allocating(monkeypatch, capsys):
     def allocate(*args):
         raise Allocated
 
-    # the first per-point work of each path raises instead of running;
-    # unconstrained_means builds no Fraction, and
-    # test_closed_form.py::test_float_path_builds_no_fraction pins its cap
-    monkeypatch.setattr(closed_form, "Fraction", allocate)
+    # the first per-point work of each path raises instead of running
+    monkeypatch.setattr(closed_form, "range", allocate, raising=False)
     monkeypatch.setattr(quantizer, "_perturbed_equispaced_feet", allocate)
     calls = [
         sq.optimal_abscissas_exact,
         sq.optimal_points,
+        sq.unconstrained_means,
         lambda n: sq.solve_fixed_constraint(n, 1),
     ]
     for call in calls:
