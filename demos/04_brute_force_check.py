@@ -3,13 +3,14 @@ Believing the formulas: exact grid search and direct integration
 ================================================================
 
 Nothing here uses the closed forms or the solver.  The grid search finds the
-exact minimum over every assignment of points to constraints and every
-position on a widened grid (a dynamic program over consecutive pairs of grid
-states), runs the same program on halved-step windows around the incumbent
-in each refinement round, and still lands on the same answer: all points on
-the top constraint S_n at abscissas (2j - 3) / (4n).  It accepts n up to 6;
-this demo shows n = 1..3.  A midpoint Riemann sum of the pointwise min
-squared distance independently confirms the distortion values.
+exact minimum over every partition of [0, 1] into n cells with edges on a
+grid, each cell served by its cheapest point on any constraint (a dynamic
+program over cell edges), runs the same program on halved-step windows
+around the incumbent's edges in each refinement round, and still lands on
+the same answer: all points on the top constraint S_n at abscissas
+(2j - 3) / (4n).  It accepts n up to 6; this demo shows n = 1..3.  A
+midpoint Riemann sum of the pointwise min squared distance independently
+confirms the distortion values.
 """
 
 from segquant import (

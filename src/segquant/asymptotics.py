@@ -45,9 +45,9 @@ def dimension_direct(n: int) -> float:
 
     Needs n >= 2, where excess(n) <= excess(2) = 37/96 < 1 keeps the
     denominator positive; at n = 1 the excess is 25/24 > 1 and the estimate
-    is undefined.
+    is undefined.  n is capped at vn_exact's 2**31 - 1.
     """
-    _check_int("n", n, minimum=2)
+    _check_int("n", n, minimum=2, maximum=closed_form._MAX_N)
     return 2 * math.log(n) / -math.log(excess(n))
 
 

@@ -285,7 +285,7 @@ def entrypoint() -> None:
 
     numpy loads lazily, and its OpenBLAS starts a pool of worker threads,
     about half of a fresh `import numpy`; no segquant code calls BLAS (only
-    elementwise ufuncs, argmin, sort and clip), so the pool
+    elementwise ufuncs, argmin and clip), so the pool
     starts with one thread unless the user set OPENBLAS_NUM_THREADS.  Only
     this process entry point sets it: `import segquant` and main() leave
     os.environ alone.

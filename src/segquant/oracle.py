@@ -1,15 +1,15 @@
-"""Independent checks: exact grid search and midpoint Riemann integration.
+"""Independent checks: exact partition search and midpoint Riemann integration.
 
-brute_force puts each of the n points on any constraint index and on a grid
-over that constraint's feasible abscissa range (widened by one grid step on
-each side, within the segment's domain [-1/j, 1]) and finds the exact minimum
-over all such placements by a dynamic program over consecutive pairs of grid
-states (J. D. Bruce, "Optimum quantization", 1965; X. Wu, "Optimal
-quantization by matrix searching", 1991).  Each refinement round runs the
-same program on halved-step windows around the incumbent.  Cells are priced
-by measure.cell_distortion, the exact quadratic integral that
-quantizer.distortion sums too: calculus, not a result of the paper, and
-riemann_distortion, which never calls it, stays its referee.
+brute_force searches cells, not points.  The least distortion over
+quantizers equals the least, over partitions of [0, 1], of the summed cost
+of each cell's best point (S. Graf and H. Luschgy, Foundations of
+Quantization for Probability Distributions, LNM 1730, 2000).  A layered
+dynamic program over cell edges on a grid finds that minimum exactly (J. D.
+Bruce, "Optimum quantization", 1965; X. Wu, "Optimal quantization by matrix
+searching", 1991), and refinement rounds rerun it on halved-step windows
+around the incumbent's edges.  Cells are priced by measure.cell_distortion,
+the exact integral that quantizer.distortion sums too, and riemann_distortion,
+which never calls it, stays its referee.
 riemann_distortion integrates the pointwise min squared distance with a
 midpoint rule.  It finds the nearest point at each midpoint from the lower
 envelope of the n parabolas (u - a_k)^2 + y_k^2, one per embedded point
@@ -24,32 +24,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 # numpy is imported inside the search functions, so that `import segquant`
 # does not pay its start-up cost
 from . import quantizer as qz
-from .geometry import (
-    ConstraintPoint,
-    _check_int,
-    _check_positive_real,
-    _plane,
-    feasible_foot_range,
-)
+from .geometry import ConstraintPoint, _check_int, _check_positive_real, _plane
 from .measure import cell_distortion
 
-# the default grid at n = 6 takes about 0.15 s on 2 vCPUs and a 7.1 MiB
+# the default grid at n = 6 takes about 6 ms on 2 vCPUs and a 0.6 MiB
 # tracemalloc peak
 _FULL_SEARCH_MAX_N = 6
 # riemann_distortion holds O(n) floats whatever panels is; up to 2**52 every
 # midpoint numerator i + 0.5 is an exact float, so _midpoints_below ends
 _RIEMANN_MAX_PANELS = 2**52
-# the coarse dynamic program over G grid states holds about five G x G float64
-# tables (8 MB each at G = 1000) plus one index table per point after the
-# second, in O(n G^3) time: n = 3 at G = 996 takes about 1 s on 2 vCPUs and a
-# 47 MiB tracemalloc peak; the default grid_step gives G = 53 n (318 at n = 6)
-_MAX_GRID_STATES = 1000
+# the coarse pass prices every pair of its G edges once and holds about six
+# G x G float64 tables at a time (8 MB each at G = 1000): G = 1000 at n = 6
+# takes about 0.26 s on 2 vCPUs and a 45.9 MiB tracemalloc peak
+_MAX_GRID_EDGES = 1000
 
 
 @dataclass(frozen=True)
@@ -57,8 +49,9 @@ class OracleConfig:
     """Grid search settings.
 
     max_index=None searches S_1 .. S_n; smaller values restrict the family.
-    refine_rounds local passes halve the grid step around the incumbent, so
-    the final resolution is grid_step / 2**refine_rounds.
+    grid_step spaces the cell edges of the coarse pass, and refine_rounds
+    local passes halve it around the incumbent, so the final resolution is
+    grid_step / 2**refine_rounds.
     """
 
     grid_step: float = 1e-2
@@ -67,104 +60,73 @@ class OracleConfig:
 
     def __post_init__(self) -> None:
         _check_positive_real("grid_step", self.grid_step)
-        # np.arange of a Fraction step builds an object array
+        # a Fraction step would build an object array of edges
         object.__setattr__(self, "grid_step", float(self.grid_step))
         if self.max_index is not None:
             _check_int("max_index", self.max_index)
         _check_int("refine_rounds", self.refine_rounds, minimum=0)
 
 
-def _cut(a0, y0, a1, y1):
-    """Voronoi cut on the x-axis between the embedded points (a0, y0), (a1, y1)."""
-    return (a1 * a1 + y1 * y1 - a0 * a0 - y0 * y0) / (2.0 * (a1 - a0))
+def _vertex(lo, hi, t: int):
+    """(x, cost) of the cheapest point on S_t for the cell [lo, hi]: the
+    vertex x = (lo + hi)/4 - 1/(2t) of the cell integral, a quadratic in x
+    (calculus, not a result of the paper).  Its foot is the cell's midpoint,
+    and it lies inside S_t's domain [-1/t, 1]."""
+    x = (lo + hi) / 4 - 1 / (2 * t)
+    return x, cell_distortion(lo, hi, x, x + 1 / t)
 
 
-def _grid_minimum(
-    n: int, grids: dict[int, Sequence[float]]
-) -> Optional[tuple[float, tuple[int, ...], tuple[float, ...]]]:
-    """Cheapest valid n-tuple of states, by dynamic programming.
+def _partition_minimum(layers, max_index: int) -> Optional[tuple[float, list[float]]]:
+    """Cheapest partition whose edge k lies on layers[k], by dynamic programming.
 
-    A state is a constraint index t with an abscissa on grids[t]; states are
-    ordered by (t, x).  Every validity test involves consecutive pairs
-    (ordered feet, a finite cut inside (0, 1)) or triples (ordered cuts), so
-    value[b, c] holds the least cost of the cells so far over valid prefixes
-    ending in states b, c.  Cells are added left to right, so the minimum is
-    the same float an enumeration of every tuple finds.
-    Each step loops over the middle state: G^2 memory, O(n G^3) time for G
-    states.  Returns (value, indices, abscissas), or None when nothing is valid.
+    A cell [lo, hi] costs the least vertex cost over S_1 .. S_max_index, and
+    +inf when lo >= hi.  value_k(b) = min over a of value_{k-1}(a) +
+    cost(a, b) is the least cost of the first k cells ending at edge b.
+    Cells are added left to right, so the minimum is the same float an
+    enumeration of every edge tuple finds, and each edge is the first
+    minimal predecessor of the edge after it.  Returns (value, edges), or
+    None when every partition has an empty cell.
     """
     import numpy as np
 
-    ts = np.concatenate([np.full(len(grid), t) for t, grid in grids.items()])
-    xs = np.concatenate(list(grids.values()))
-    invs = 1.0 / ts
-    ys = xs + invs
-    if n == 1:
-        values = cell_distortion(0.0, 1.0, xs, ys)
-        k = int(np.argmin(values))
-        return float(values[k]), (int(ts[k]),), (float(xs[k]),)
-    feet = 2.0 * xs + invs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cut = _cut(xs[:, None], ys[:, None], xs[None, :], ys[None, :])
-        pair = feet[:, None] < feet[None, :]
-        pair &= np.isfinite(cut) & (cut > 0.0) & (cut < 1.0)
-        value = np.where(pair, cell_distortion(0.0, cut, xs[:, None], ys[:, None]), np.inf)
+    value = np.zeros(1)
     back = []
-    for _ in range(n - 2):
-        step_value = np.full_like(value, np.inf)
-        step_back = np.zeros(value.shape, dtype=np.intp)
-        for b in range(len(xs)):
-            (before,) = np.nonzero(pair[:, b])
-            (after,) = np.nonzero(pair[b])
-            if not (before.size and after.size):
-                continue
-            lo = cut[before, b][:, None]
-            hi = cut[b, after][None, :]
-            cand = value[before, b][:, None] + cell_distortion(lo, hi, xs[b], ys[b])
-            cand = np.where(lo < hi, cand, np.inf)
-            k = np.argmin(cand, axis=0)
-            step_value[b, after] = cand[k, np.arange(after.size)]
-            step_back[b, after] = before[k]
-        value = step_value
-        back.append(step_back)
-    with np.errstate(invalid="ignore"):
-        total = np.where(
-            pair, value + cell_distortion(cut, 1.0, xs[None, :], ys[None, :]), np.inf
-        )
-    b, c = np.unravel_index(int(np.argmin(total)), total.shape)
-    best = float(total[b, c])
-    if not math.isfinite(best):
+    table = (None, None, None)
+    for lows, highs in zip(layers, layers[1:]):
+        # the coarse pass repeats one interior layer, so its table is built once
+        if table[0] is not lows or table[1] is not highs:
+            lo, hi = lows[:, None], highs[None, :]
+            cost = np.inf
+            for t in range(1, max_index + 1):
+                cost = np.minimum(cost, _vertex(lo, hi, t)[1])
+            table = (lows, highs, np.where(lo < hi, cost, np.inf))
+        total = value[:, None] + table[2]
+        a = np.argmin(total, axis=0)
+        value = total[a, np.arange(highs.size)]
+        back.append(a)
+    if not math.isfinite(value[0]):
         return None
-    states = [int(b), int(c)]
-    for step_back in reversed(back):
-        states.insert(0, int(step_back[states[0], states[1]]))
-    return best, tuple([int(ts[g]) for g in states]), tuple([float(xs[g]) for g in states])
-
-
-def _sorted_unique(values):
-    """np.unique of a float array, without the numpy.ma import that
-    np.unique's first call makes."""
-    import numpy as np
-
-    values = np.sort(values)
-    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+    b = 0
+    edges = [float(layers[-1][0])]
+    for layer, a in zip(reversed(layers[:-1]), reversed(back)):
+        b = int(a[b])
+        edges.append(float(layer[b]))
+    return float(value[0]), edges[::-1]
 
 
 def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutcome:
-    """Exact grid search for the best n-point quantizer on S_1 .. S_max_index.
+    """Exact search over cell edges for the best n-point quantizer on
+    S_1 .. S_max_index.
 
-    A state is a constraint index t and an abscissa x on that constraint's
-    coarse grid; states are ordered by (t, x).  A dynamic program over
-    consecutive pairs of states finds the cheapest valid n-tuple, exactly
-    the minimum an enumeration of every tuple would find.  Each of the
-    refine_rounds halves the step and runs the same program on windows of
-    +-2 steps around the incumbent's points, pooled per constraint.
-    Exact ties break by state order in every pass: the last two points are
-    the first minimal pair, and each earlier point is the first minimal
-    predecessor of the pair after it, so the outcome is deterministic.
-    iterations counts grid passes (1 coarse + refine_rounds); converged is
-    always True.  The incumbent's distortion is recomputed through the
-    quantizer module.  n is capped at _FULL_SEARCH_MAX_N = 6.
+    It assumes one fact: a cell's cheapest point on S_t is the vertex of its
+    integral.  The coarse pass puts every interior edge on the grid 0, step,
+    2 step, ... <= 1.  Each of the refine_rounds halves the step and searches
+    +-2 steps around each incumbent edge, clipped to [0, 1]; the incumbent
+    stays among them, so a round never gets worse.  Each cell gets its
+    vertex point on the first cheapest constraint.  iterations counts passes
+    (1 coarse + refine_rounds); converged is always True.  The distortion is
+    recomputed through the quantizer module, over the points' own Voronoi
+    cells.  n is capped at _FULL_SEARCH_MAX_N = 6.
     """
     import numpy as np
 
@@ -180,45 +142,32 @@ def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutco
             f"max_index {max_index} exceeds the feasible family size {n}"
         )
     step = cfg.grid_step
-    bounds = {}
-    for j in range(1, max_index + 1):
-        lo, hi = feasible_foot_range(j)
-        # the widening stays on S_j, whose domain [-1/j, 1] it leaves once
-        # step > 1/(2j); -1.0 / j rounds below -1/j at j = 5
-        floor = -1.0 / j
-        if floor < -Fraction(1, j):
-            floor = math.nextafter(floor, 0.0)
-        bounds[j] = (max(lo - step, floor), min(hi + step, 1.0))
-    # the grid lengths np.arange will give, ceil((stop - start) / step), counted
-    # before anything is allocated; a subnormal step makes them infinite
-    sizes = [(hi + step / 2 - lo) / step for lo, hi in bounds.values()]
-    if sum(sizes) > _MAX_GRID_STATES or sum(map(math.ceil, sizes)) > _MAX_GRID_STATES:
+    # the edges k step <= 1, counted exactly before anything is allocated; a
+    # subnormal step gives about 2**1074 of them
+    num, den = step.as_integer_ratio()
+    count = den // num + 1
+    if count > _MAX_GRID_EDGES:
         raise ValueError(
-            f"grid_step must be coarse enough for at most {_MAX_GRID_STATES} "
-            f"grid states on S_1 .. S_{max_index}, got {step!r}"
+            f"grid_step must be coarse enough for at most {_MAX_GRID_EDGES} "
+            f"cell edges, got {step!r}"
         )
-    # np.arange may overshoot hi by up to step / 2; the last state stays on S_j
-    coarse = {
-        j: np.minimum(np.arange(lo, hi + step / 2, step), 1.0)
-        for j, (lo, hi) in bounds.items()
-    }
-
-    best = _grid_minimum(n, coarse)
+    grid = step * np.arange(count)
+    best = _partition_minimum([np.zeros(1), *[grid] * (n - 1), np.ones(1)], max_index)
     if best is None:
         raise RuntimeError("no valid candidate on the coarse grid")
 
-    _, ts, positions = best
     for _ in range(cfg.refine_rounds):
         step /= 2
-        # +-2 half steps around each incumbent point, pooled per constraint;
-        # the incumbent is among the states, so a round never gets worse
-        windows = {t: [] for t in sorted(set(ts))}
-        for t, x in zip(ts, positions):
-            windows[t].append(np.clip(x + step * np.arange(-2.0, 3.0), *bounds[t]))
-        grids = {t: _sorted_unique(np.concatenate(w)) for t, w in windows.items()}
-        _, ts, positions = _grid_minimum(n, grids)
+        window = step * np.arange(-2.0, 3.0)
+        inner = [np.clip(e + window, 0.0, 1.0) for e in best[1][1:-1]]
+        best = _partition_minimum([np.zeros(1), *inner, np.ones(1)], max_index)
 
-    q = qz.Quantizer(tuple([ConstraintPoint(t, x) for t, x in zip(ts, positions)]))
+    edges = best[1]
+    points = []
+    for lo, hi in zip(edges, edges[1:]):
+        t = min(range(1, max_index + 1), key=lambda t: _vertex(lo, hi, t)[1])
+        points.append(ConstraintPoint(t, _vertex(lo, hi, t)[0]))
+    q = qz.Quantizer(tuple(points))
     return qz.SolverOutcome(
         quantizer=q,
         distortion=qz.distortion(q),

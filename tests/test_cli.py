@@ -403,9 +403,15 @@ def test_unwritable_out_exits_2(command, tmp_path, capsys):
         assert captured.err.startswith("error: ") and str(target) in captured.err
 
 
-def test_mixed_constraint_result_exits_3(capsys):
-    # a grid this coarse puts the cheapest four points on S_2 and S_4
-    args = ["solve", "--n", "4", "--method", "brute-force", "--grid-step", "0.5"]
+def test_mixed_constraint_result_exits_3(monkeypatch, capsys):
+    # the search prices every cell cheapest on the top constraint, so a mixed
+    # result comes from a stand-in
+    def mixed_search(n, config=None):
+        q = Quantizer((ConstraintPoint(2, 0.0), ConstraintPoint(4, 0.25)))
+        return SolverOutcome(quantizer=q, distortion=distortion(q), iterations=4, converged=True)
+
+    monkeypatch.setattr(oracle, "brute_force", mixed_search)
+    args = ["solve", "--n", "2", "--method", "brute-force"]
     assert cli.main(args) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,8 +1,7 @@
-"""Exhaustive grid search and Riemann integration as independent referees."""
+"""Exhaustive partition search and Riemann integration as independent referees."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import subprocess
@@ -11,11 +10,10 @@ import textwrap
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
-from typing import Optional, Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from segquant import (
@@ -25,7 +23,6 @@ from segquant import (
     brute_force,
     distortion,
     embed,
-    feasible_foot_range,
     forward_map,
     optimal_points,
     oracle,
@@ -33,16 +30,15 @@ from segquant import (
     solve_fixed_constraint,
     vn,
 )
-from segquant.measure import cell_distortion
+from segquant.measure import SupportInterval, cell_distortion, optimal_interval_distortion
 from segquant.oracle import (
     _FULL_SEARCH_MAX_N,
-    _MAX_GRID_STATES,
+    _MAX_GRID_EDGES,
     _RIEMANN_MAX_PANELS,
-    _cut,
-    _grid_minimum,
     _midpoints_below,
+    _partition_minimum,
 )
-from conftest import count_plane_calls, random_feet, random_same_constraint_quantizer
+from conftest import count_plane_calls
 
 # discretization tolerances: the final grid resolution with defaults is
 # grid_step / 2**refine_rounds = 1.25e-3, and the distortion is locally
@@ -355,9 +351,8 @@ def test_brute_force_limits():
         brute_force(2, OracleConfig(max_index=3))
 
 
-GRID_STATES_REFUSAL = (
-    rf"^grid_step must be coarse enough for at most {_MAX_GRID_STATES} grid states "
-    r"on S_1 \.\. S_[12], got "
+GRID_EDGES_REFUSAL = (
+    rf"^grid_step must be coarse enough for at most {_MAX_GRID_EDGES} cell edges, got "
 )
 
 
@@ -369,22 +364,26 @@ def test_brute_force_refuses_grid_states_above_cap_before_allocating(monkeypatch
         raise Allocated
 
     monkeypatch.setattr(np, "arange", arange)
-    # 10,006 states at n = 2 (G x G tables of 764 MB), a 3.8 GB grid at n = 1,
-    # and an infinite count from a subnormal step
-    for n, step in ((2, 1e-4), (1, 1e-9), (1, 5e-324)):
-        with pytest.raises(ValueError, match=GRID_STATES_REFUSAL):
+    # 10,001 edges at n = 3 (a G x G table of 763 MiB), 10**9 + 1 at n = 1,
+    # and about 2**1074 from a subnormal step
+    for n, step in ((3, 1e-4), (1, 1e-9), (1, 5e-324)):
+        with pytest.raises(ValueError, match=GRID_EDGES_REFUSAL):
             brute_force(n, OracleConfig(grid_step=step))
-    # S_1's grid has ceil(0.5 / step + 2.5) states: one above the cap, then
-    # exactly the cap, where the check passes and the first allocation is reached
-    with pytest.raises(ValueError, match=GRID_STATES_REFUSAL):
-        brute_force(1, OracleConfig(grid_step=0.5 / (_MAX_GRID_STATES - 2)))
+    # the grid holds every k step <= 1, floor(1 / step) + 1 edges: one above
+    # the cap, then exactly the cap, where the first allocation is reached
+    at = 1 / (_MAX_GRID_EDGES - 1)
+    over = math.nextafter(1 / _MAX_GRID_EDGES, 0.0)
+    assert F(1) // F(over) + 1 == _MAX_GRID_EDGES + 1
+    assert F(1) // F(at) + 1 == _MAX_GRID_EDGES
+    with pytest.raises(ValueError, match=GRID_EDGES_REFUSAL):
+        brute_force(1, OracleConfig(grid_step=over))
     with pytest.raises(Allocated):
-        brute_force(1, OracleConfig(grid_step=0.5 / (_MAX_GRID_STATES - 3)))
+        brute_force(1, OracleConfig(grid_step=at))
 
 
 def _float_literal_cell(lo, hi, a, y):
-    # the cell integral with float literals, as a referee: the grid search
-    # needs measure.cell_distortion's int literals to give the same bits
+    # the cell integral with float literals, as a referee: the search needs
+    # measure.cell_distortion's int literals to give the same bits
     poly = lo * lo + lo * hi + hi * hi - 3.0 * a * (lo + hi) + 3.0 * (a * a + y * y)
     return (hi - lo) * poly / 3.0
 
@@ -392,17 +391,15 @@ def _float_literal_cell(lo, hi, a, y):
 @settings(deadline=None)
 @given(size=st.integers(1, 6), data=st.data())
 def test_cell_distortion_is_the_float_literal_formula_bit_for_bit(size, data):
-    # nan and inf included: _grid_minimum prices every pair, valid or not
+    # nan and inf included: the search prices every pair of edges, valid or not
     column = st.lists(st.floats(), min_size=size, max_size=size).map(np.array)
     lo, hi, a, y = (data.draw(column) for _ in range(4))
-    # the shapes _grid_minimum passes: the one cell at n = 1, the first cells,
-    # a middle state's np.float64 coordinates, the last cells
+    # the shapes the search passes: a table of edge pairs with its vertex
+    # abscissas, and the float edges of one chosen cell
+    table = np.broadcast_to(a[:, None], (size, size)), np.broadcast_to(y[None, :], (size, size))
     cases = [
-        (0.0, 1.0, a, y),
-        (0.0, hi[None, :], a[:, None], y[:, None]),
-        (lo[:, None], hi[None, :], a[0], y[0]),
-        (lo[:, None], 1.0, a[None, :], y[None, :]),
-        (lo[0], hi[0], a[0], y[0]),
+        (lo[:, None], hi[None, :], *table),
+        (float(lo[0]), float(hi[0]), float(a[0]), float(y[0])),
     ]
     with np.errstate(all="ignore"):
         for args in cases:
@@ -411,165 +408,198 @@ def test_cell_distortion_is_the_float_literal_formula_bit_for_bit(size, data):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-def _coarse_grids(max_index, step):
-    # brute_force's coarse grids: each feasible range widened by one step
-    grids = {}
-    for j in range(1, max_index + 1):
-        lo, hi = feasible_foot_range(j)
-        grids[j] = np.arange(lo - step, hi + step + step / 2, step)
-    return grids
+def _cell_price(lo: float, hi: float, max_index: int) -> float:
+    """Referee: the least cell integral over the vertex points
+    x = (lo + hi)/4 - 1/(2t), t = 1 .. max_index; +inf for an empty cell."""
+    if not lo < hi:
+        return math.inf
+    prices = []
+    for t in range(1, max_index + 1):
+        x = (lo + hi) / 4 - 1 / (2 * t)
+        prices.append(cell_distortion(lo, hi, x, x + 1 / t))
+    return min(prices)
 
 
-def _grid_distortions(ts: Sequence[int], xs: list[np.ndarray]) -> np.ndarray:
-    """Distortion of each candidate tuple; +inf where the candidate is invalid.
-
-    Candidate i places point k at abscissa xs[k][i] on constraint S_{ts[k]}.
-    Valid candidates have strictly increasing feet and strictly interior,
-    strictly increasing Voronoi breakpoints (anything else leaves some point
-    with an empty cell).  Per-cell values use the exact quadratic integral.
-    """
-    n = len(ts)
-    invs = [1.0 / t for t in ts]
-    ys = [x + inv for x, inv in zip(xs, invs)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        feet = [2.0 * x + inv for x, inv in zip(xs, invs)]
-        valid = np.ones(xs[0].shape, dtype=bool)
-        for i in range(n - 1):
-            valid &= feet[i] < feet[i + 1]
-        # Voronoi cuts between consecutive embedded points, then cells
-        # [0, c_0], [c_0, c_1], ..., [c_{n-2}, 1].
-        cuts: list[np.ndarray] = []
-        for i in range(n - 1):
-            c = _cut(xs[i], ys[i], xs[i + 1], ys[i + 1])
-            valid &= np.isfinite(c) & (c > 0.0) & (c < 1.0)
-            if cuts:
-                valid &= cuts[-1] < c
-            cuts.append(c)
-        lows = [0.0] + cuts
-        highs = cuts + [1.0]
-        total = np.zeros(xs[0].shape)
-        for i in range(n):
-            total += cell_distortion(lows[i], highs[i], xs[i], ys[i])
-        total = np.where(valid, total, np.inf)
-    return total
-
-
-def _best_on_grids(
-    ts: Sequence[int], grids: list[np.ndarray]
-) -> Optional[tuple[float, tuple[float, ...]]]:
-    """Cheapest valid candidate on the position grids, ties to lower abscissas."""
-    mesh = np.meshgrid(*grids, indexing="ij")
-    xs = [m.reshape(-1) for m in mesh]
-    values = _grid_distortions(ts, xs)
-    k = int(np.argmin(values))
-    if not math.isfinite(values[k]):
-        return None
-    return float(values[k]), tuple([float(x[k]) for x in xs])
-
-
-def _enumerated_minimum(n, grids):
-    # referee: every assignment of indices, every position tuple on its grids
+def _enumerated_minimum(layers, max_index):
+    """Referee: every increasing edge tuple, one edge from each layer, priced
+    cell by cell from the left.  Exact ties go by the total, then the place
+    of the last interior edge on its layer, then the sum of the cells before
+    that edge, then the place of the edge before it, and so on leftwards."""
+    first, last = float(layers[0][0]), float(layers[-1][0])
+    prices = {}
     best = None
-    for ts in itertools.product(grids, repeat=n):
-        found = _best_on_grids(ts, [grids[t] for t in ts])
-        if found is not None and (best is None or found[0] < best[0]):
-            best = (found[0], ts, found[1])
-    return best
+
+    def extend(picks, edges):
+        nonlocal best
+        if len(edges) == len(layers) - 1:
+            edges = [*edges, last]
+            sums = [0.0]
+            for cell in zip(edges, edges[1:]):
+                if cell not in prices:
+                    prices[cell] = _cell_price(*cell, max_index)
+                sums.append(sums[-1] + prices[cell])
+            key = [sums[-1]]
+            for k in range(len(picks), 0, -1):
+                key += [picks[k - 1], sums[k]]
+            if best is None or key < best[0]:
+                best = (key, edges)
+            return
+        for i, e in enumerate(layers[len(edges)].tolist()):
+            if e > edges[-1]:
+                extend((*picks, i), [*edges, e])
+
+    extend((), [first])
+    if best is None or best[0][0] == math.inf:
+        return None
+    return best[0][0], best[1]
 
 
 @pytest.mark.parametrize("grid_step", [1e-2, 0.05])
 def test_dynamic_program_equals_the_enumeration(grid_step):
-    for n in (1, 2, 3):
+    # brute_force's coarse layers; n = 4 on the 101-edge grid would enumerate
+    # 161,700 tuples per max_index
+    grid = grid_step * np.arange(int(1 / grid_step) + 1)
+    for n in (1, 2, 3) if grid_step < 0.05 else (1, 2, 3, 4):
+        layers = [np.zeros(1), *[grid] * (n - 1), np.ones(1)]
         for max_index in range(1, n + 1):
-            grids = _coarse_grids(max_index, grid_step)
-            # the same float value, indices and abscissas
-            assert _grid_minimum(n, grids) == _enumerated_minimum(n, grids), (
-                f"n={n} max_index={max_index}"
-            )
+            # the same float value and edges
+            assert _partition_minimum(layers, max_index) == _enumerated_minimum(
+                layers, max_index
+            ), f"n={n} max_index={max_index}"
 
 
 def test_dynamic_program_equals_the_enumeration_on_random_grids():
-    # irregular grids reach tuples where each pair and triple test binds
+    # irregular layers, unsorted and with repeats, some with no valid tuple
     rng = np.random.default_rng(7)
-    for _ in range(300):
-        n = int(rng.integers(1, 4))
-        max_index = int(rng.integers(1, n + 1))
-        grids = {
-            t: np.sort(rng.uniform(-1.0 / t, 0.8, size=int(rng.integers(1, 8))))
-            for t in range(1, max_index + 1)
-        }
-        assert _grid_minimum(n, grids) == _enumerated_minimum(n, grids), grids
-
-
-def test_dynamic_program_equals_the_enumeration_on_refinement_windows():
-    # brute_force's refinement state sets: +-2 half steps around a random
-    # incumbent, clipped to the widened bounds and pooled per constraint, with
-    # the windows on one constraint apart from each other
-    rng = np.random.default_rng(11)
     valid = 0
     for _ in range(300):
-        n = int(rng.integers(1, 4))
-        step = float(rng.uniform(0.01, 0.1))
-        half = step / 2 ** int(rng.integers(1, 4))
-        ts = [int(t) for t in rng.integers(1, n + 1, size=n)]
-        xs = [(f - 1.0 / t) / 2.0 for f, t in zip(random_feet(rng, n), ts)]
-        pairs = itertools.combinations(zip(ts, xs), 2)
-        if any(s == t and abs(x - y) <= 4 * half for (s, x), (t, y) in pairs):
-            continue
-        windows = {t: [] for t in sorted(set(ts))}
-        for t, x in zip(ts, xs):
-            lo, hi = feasible_foot_range(t)
-            local = x + half * np.arange(-2.0, 3.0)
-            windows[t].append(np.clip(local, lo - step, hi + step))
-        grids = {t: np.unique(np.concatenate(w)) for t, w in windows.items()}
-        best = _grid_minimum(n, grids)
-        assert best == _enumerated_minimum(n, grids), grids
+        n = int(rng.integers(1, 5))
+        max_index = int(rng.integers(1, n + 1))
+        inner = [
+            np.round(rng.uniform(0.0, 1.0, size=int(rng.integers(1, 7))), 1)
+            for _ in range(n - 1)
+        ]
+        layers = [np.zeros(1), *inner, np.ones(1)]
+        best = _partition_minimum(layers, max_index)
+        assert best == _enumerated_minimum(layers, max_index), layers
         valid += best is not None
     assert valid >= 100
 
 
+def test_dynamic_program_equals_the_enumeration_on_refinement_windows():
+    # brute_force's refinement layers: +-2 half steps around each edge of a
+    # random increasing partition, clipped to [0, 1], so that windows meet
+    # the ends and each other
+    rng = np.random.default_rng(11)
+    valid = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        max_index = int(rng.integers(1, n + 1))
+        half = float(rng.uniform(0.005, 0.1))
+        edges = np.sort(rng.uniform(0.0, 1.0, size=n - 1))
+        window = half * np.arange(-2.0, 3.0)
+        inner = [np.clip(e + window, 0.0, 1.0) for e in edges]
+        layers = [np.zeros(1), *inner, np.ones(1)]
+        best = _partition_minimum(layers, max_index)
+        assert best == _enumerated_minimum(layers, max_index), layers
+        valid += best is not None
+    assert valid >= 100
+
+
+@settings(deadline=None)
+@given(
+    ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+    max_index=st.integers(1, 64),
+)
+def test_cell_price_is_the_optimal_interval_distortion(ends, max_index):
+    # the search's price of one cell is the least distortion of a point of
+    # S_1 .. S_max_index, to 16 ulp, and the cheapest index is the largest;
+    # 7 ulp was the worst of 45,000 drawn cells
+    lo, hi = ends
+    assume(hi - lo >= 1e-6)
+    value, edges = _partition_minimum([np.array([lo]), np.array([hi])], max_index)
+    assert edges == [lo, hi]
+    want = optimal_interval_distortion(SupportInterval(lo, hi), max_index)
+    assert abs(value - want) <= 16 * math.ulp(want)
+    costs = [oracle._vertex(lo, hi, t)[1] for t in range(1, max_index + 1)]
+    assert costs.index(min(costs)) + 1 == max_index
+
+
 def test_brute_force_refines_on_the_incumbents_windows(monkeypatch):
-    # every refinement round searches states around the previous incumbent,
+    # every refinement round searches edges around the previous incumbent,
     # which stays among them, and the enumeration agrees with the result
     calls = []
 
-    def spy(n, grids):
-        found = _grid_minimum(n, grids)
-        calls.append((grids, found))
+    def spy(layers, max_index):
+        found = _partition_minimum(layers, max_index)
+        calls.append((layers, max_index, found))
         return found
 
-    monkeypatch.setattr(oracle, "_grid_minimum", spy)
-    for n in (1, 2, 3):
+    monkeypatch.setattr(oracle, "_partition_minimum", spy)
+    for n in (1, 2, 3, 4):
         calls.clear()
         brute_force(n)
         assert len(calls) == 1 + 3
-        for (_, before), (grids, after) in zip(calls, calls[1:]):
-            _, ts, xs = before
-            assert all(x in grids[t] for t, x in zip(ts, xs))
+        for (_, _, before), (layers, max_index, after) in zip(calls, calls[1:]):
+            assert all(e in layer for e, layer in zip(before[1], layers))
             assert after[0] <= before[0]
-            assert after == _enumerated_minimum(n, grids)
+            assert after == _enumerated_minimum(layers, max_index)
 
 
-def test_brute_force_searches_only_points_of_the_segments(monkeypatch):
-    # a step above 1/(2j) widens S_j's feasible range past its domain
-    # [-1/j, 1] (S_2 at step 10 from x = -10.25); -1.0 / 5 rounds below -1/5
-    grids_seen = []
+def test_brute_force_prices_the_coarse_edge_pairs_once(monkeypatch):
+    # the coarse pass repeats one grid on every interior layer; pricing its
+    # G x G pairs per layer instead would multiply the time by n - 2
+    tables = []
 
-    def spy(n, grids):
-        grids_seen.append(grids)
-        return _grid_minimum(n, grids)
+    def spy(lo, hi, t):
+        if np.ndim(lo) == 2 and np.size(lo) > 1 and np.size(hi) > 1:
+            tables.append(t)
+        return real(lo, hi, t)
 
-    monkeypatch.setattr(oracle, "_grid_minimum", spy)
+    real = oracle._vertex
+    monkeypatch.setattr(oracle, "_vertex", spy)
+    for n in (3, 6):
+        tables.clear()
+        brute_force(n)
+        # the coarse table priced over t = 1 .. n, then the n - 2 tables
+        # between consecutive 5-edge windows in each of the 3 rounds
+        assert tables == [*range(1, n + 1)] + [
+            t for _ in range(3 * (n - 2)) for t in range(1, n + 1)
+        ]
+
+
+def test_brute_force_distortion_is_at_most_the_partition_value(monkeypatch):
+    # the points' own Voronoi cells serve them at least as well as the
+    # searched partition does, and nothing beats the closed form
+    values = []
+
+    def spy(layers, max_index):
+        found = _partition_minimum(layers, max_index)
+        values.append(found[0])
+        return found
+
+    monkeypatch.setattr(oracle, "_partition_minimum", spy)
+    for n in range(1, _FULL_SEARCH_MAX_N + 1):
+        out = brute_force(n)
+        assert vn(n) - 1e-12 <= out.distortion <= values[-1] + 4 * math.ulp(values[-1])
+
+
+def test_brute_force_searches_only_points_of_the_segments():
+    # a step above 1/(2j) once widened S_j's grid past its domain [-1/j, 1],
+    # and -1.0 / 5 rounds below -1/5; vertex points lie inside every domain,
+    # so a coarse step either finds a partition or finds none
+    found = 0
     for n in range(1, _FULL_SEARCH_MAX_N + 1):
         for step in (0.15, 0.6, 1.2, 10.0, 1e308):
             try:
-                brute_force(n, OracleConfig(grid_step=step))
+                out = brute_force(n, OracleConfig(grid_step=step))
             except RuntimeError as exc:
                 assert str(exc) == "no valid candidate on the coarse grid"
-    assert len(grids_seen) >= 30
-    for grids in grids_seen:
-        for t, grid in grids.items():
-            assert all(-F(1, t) <= x <= 1 for x in grid.tolist()), (t, grid)
+                continue
+            found += 1
+            assert all(-F(1, p.j) <= p.x <= 1 for p in out.quantizer.points)
+    # n = 1 at every step, n = 2 at 0.6 and 0.15, n = 3 .. 6 at 0.15
+    assert found == 11
 
 
 def test_brute_force_does_not_import_numpy_ma():
@@ -588,61 +618,18 @@ def test_brute_force_does_not_import_numpy_ma():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_sorted_unique_is_np_unique():
-    rng = np.random.default_rng(5)
-    for _ in range(500):
-        values = np.round(rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 20))), 1)
-        values[rng.integers(0, values.size)] = rng.choice([0.0, -0.0])
-        assert oracle._sorted_unique(values).tobytes() == np.unique(values).tobytes()
-
-
 def test_brute_force_never_holds_a_cube_of_states():
-    # the enumeration peaked at 20.6 MiB for n = 3, the pair-state program
-    # at about 1.3 MiB; G^3 float64 values at G = 159 states are 30.7 MiB
-    tracemalloc.start()
-    try:
-        brute_force(3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2**20
-
-
-# ---------------------------------------------------- candidate evaluator
-
-
-def test_grid_evaluator_matches_distortion_module():
-    rng = np.random.default_rng(2024)
-    for _ in range(60):
-        q = random_same_constraint_quantizer(rng)
-        ts = [p.j for p in q.points]
-        xs = [np.array([float(p.x)]) for p in q.points]
-        got = float(_grid_distortions(ts, xs)[0])
-        assert abs(got - distortion(q)) <= 1e-13
-
-
-def test_grid_evaluator_matches_on_mixed_indices():
-    rng = np.random.default_rng(4096)
-    checked = 0
-    while checked < 40:
-        n = int(rng.integers(2, 5))
-        ts = [int(rng.integers(1, 6)) for _ in range(n)]
-        raw = [float(rng.uniform(-1.0 / t, 1.0)) for t in ts]
-        xs = [np.array([x]) for x in raw]
-        got = float(_grid_distortions(ts, xs)[0])
+    # the point enumeration peaked at 20.6 MiB for n = 3 and the pair-state
+    # program at about 1.3 MiB; the edge search holds a few G x G tables,
+    # under the cap's 47 MiB even at G = _MAX_GRID_EDGES
+    for config, limit in (
+        (OracleConfig(), 2**20),
+        (OracleConfig(grid_step=1 / (_MAX_GRID_EDGES - 1), refine_rounds=0), 47 * 2**20),
+    ):
+        tracemalloc.start()
         try:
-            q = Quantizer(tuple(ConstraintPoint(t, x) for t, x in zip(ts, raw)))
-            expected = distortion(q)
-        except ValueError:
-            assert got == math.inf
-            checked += 1
-            continue
-        assert abs(got - expected) <= 1e-13
-        checked += 1
-
-
-def test_grid_evaluator_flags_unordered_feet():
-    # feet 0.75 then 0.25: invalid ordering must map to +inf, not a value
-    ts = [1, 1]
-    xs = [np.array([-0.125]), np.array([-0.375])]
-    assert math.isinf(_grid_distortions(ts, xs)[0])
+            brute_force(3, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit

@@ -500,7 +500,7 @@ def test_solver_iteration_count_scales_with_tolerance():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP items 2 and 5: at n = 64, 128 and 256 converged bounds the "
+    reason="ROADMAP item 2: at n = 64, 128 and 256 converged bounds the "
     "last sweep's movement, not the feet's error, which is about 1.5 tol; at "
     "n = 2048 the default solve stops after max_iter=10,000 sweeps unconverged",
 )

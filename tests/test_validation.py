@@ -172,3 +172,12 @@ def test_dimension_samples_refuse_above_cap_before_allocating(monkeypatch, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: samples must be an integer in [2, 100000]" in captured.err
+
+
+def test_dimension_direct_refuses_n_above_the_cap_in_its_own_range():
+    # above the cap it once refused with vn_exact's range, [1, 2147483647]
+    cap = closed_form._MAX_N
+    for bad in (cap + 1, 2**40):
+        with pytest.raises(ValueError, match=rf"^n must be an integer in \[2, {cap}\], got {bad}$"):
+            sq.dimension_direct(bad)
+    assert sq.dimension_direct(cap) < 2
