@@ -11,11 +11,11 @@ with limit V_inf = 1/6 (the squared distance from the support to the
 accumulation set of the constraints).  The excess V_n - V_inf decays like
 1 / (2n), giving quantization dimension 2 and quantization coefficient 1/2.
 
-Everything here is evaluated in exact rational arithmetic and converted to
-float once at the boundary; the *_exact variants expose the rationals.  A
-float ratio of ints is taken by int true division, which Python rounds
-correctly, so it is the float that float(Fraction(p, q)) gives, with no
-Fraction built (the rule of geometry._reciprocal).
+The float point lists divide ints: int true division rounds correctly, so
+each abscissa or foot is the float that float(Fraction(p, q)) gives, with no
+Fraction built (the rule of geometry._reciprocal).  The scalar errors vn and
+v_infinity convert their exact rational once; the *_exact variants expose
+the rationals.
 """
 
 from __future__ import annotations
@@ -62,10 +62,12 @@ def optimal_points(n: int) -> Quantizer:
     """The optimal n-point quantizer, all points on S_n.
 
     Abscissas stay strictly inside the feasible range (-1/(2n), 1/2 - 1/(2n))
-    whose feet sweep [0, 1].
+    whose feet sweep [0, 1].  Each is optimal_abscissas_exact(n)'s rational,
+    rounded once by int true division.
     """
+    _check_int("n", n, maximum=_MAX_POINTS)
     return Quantizer(
-        tuple([ConstraintPoint(n, float(x)) for x in optimal_abscissas_exact(n)])
+        tuple([ConstraintPoint(n, (2 * j - 3) / (4 * n)) for j in range(1, n + 1)])
     )
 
 

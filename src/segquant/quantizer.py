@@ -40,8 +40,8 @@ from .geometry import (
 from .measure import cell_distortion
 
 # every list of n points refuses n above this: time and memory grow linearly,
-# and `segquant solve --n 100000` takes 2.9-5.0 s and a 193 MB peak RSS
-# (2 shared vCPUs, Python 3.11), most of it in optimal_points and json.dumps
+# and `segquant solve --n 100000` takes 1.7-1.8 s and a 193 MB peak RSS
+# (2 shared vCPUs, Python 3.11), most of it in json.dumps and optimal_points
 _MAX_POINTS = 100_000
 
 # a solve runs the list loop at n up to _LIST_LOOP_IN_PROCESS_MAX_N, at n up

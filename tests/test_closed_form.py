@@ -72,18 +72,24 @@ def test_unconstrained_means_values():
 
 
 def test_float_path_builds_no_fraction(monkeypatch):
+    # the point lists divide ints, which rounds as float(Fraction(p, q)) does
     ns = (1, 3, 99_991, 100_000)
-    expected = {n: [float(F(2 * j - 1, 2 * n)) for j in range(1, n + 1)] for n in ns}
+    means = {n: [float(F(2 * j - 1, 2 * n)) for j in range(1, n + 1)] for n in ns}
+    abscissas = {
+        n: [float(F(2 * j - 3, 4 * n)).hex() for j in range(1, n + 1)] for n in ns
+    }
 
     def refuse(*args):
         raise AssertionError("a Fraction was built")
 
     monkeypatch.setattr(closed_form, "Fraction", refuse)
     for n in ns:
-        assert unconstrained_means(n) == expected[n]
-    for n in (0, True, 100_001):
-        with pytest.raises(ValueError):
-            unconstrained_means(n)
+        assert unconstrained_means(n) == means[n]
+        assert [x.hex() for x in optimal_points(n).abscissas()] == abscissas[n]
+    for call in (unconstrained_means, optimal_points):
+        for n in (0, True, 100_001):
+            with pytest.raises(ValueError):
+                call(n)
 
 
 def test_feet_of_optimal_points_are_the_unconstrained_means():

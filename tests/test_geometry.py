@@ -127,6 +127,24 @@ def test_float_path_builds_no_fraction(monkeypatch):
         assert feasible_foot_range(cp.j) == foot_range
 
 
+@given(j=INDICES)
+@example(j=3)  # fl(-1/3) rounds up, inside S_3
+@example(j=5)  # fl(-1/5) rounds down, outside S_5
+@example(j=2**53 + 1)
+def test_constraint_point_bound_is_exact_to_the_ulp(j):
+    # fl(-1/j) and its two float neighbours, 1.0 and the float above it
+    lo = float(-F(1, j))
+    xs = (math.nextafter(lo, -math.inf), lo, math.nextafter(lo, math.inf))
+    xs += (1.0, math.nextafter(1.0, math.inf))
+    for x in xs:
+        for value in (x, np.float64(x)):
+            if -F(1, j) <= F(x) <= 1:
+                assert ConstraintPoint(j, value).x is value
+            else:
+                with pytest.raises(ValueError, match="outside"):
+                    ConstraintPoint(j, value)
+
+
 def test_constraint_point_rejects_out_of_segment():
     with pytest.raises(ValueError):
         ConstraintPoint(2, -0.6)  # below -1/2
