@@ -2,15 +2,17 @@
 Believing the formulas: exact grid search and direct integration
 ================================================================
 
-Nothing here uses the closed forms or the solver.  The grid search finds the
-exact minimum over every partition of [0, 1] into n cells with edges on a
-grid, each cell served by its cheapest point on any constraint (a dynamic
-program over cell edges), runs the same program on halved-step windows
-around the incumbent's edges in each refinement round, and still lands on
-the same answer: all points on the top constraint S_n at abscissas
-(2j - 3) / (4n).  It accepts n up to 6; this demo shows n = 1..3.  A
-midpoint Riemann sum of the pointwise min squared distance independently
-confirms the distortion values.
+The grid search and the Riemann integrator use neither the closed forms nor
+the solver; the demo calls those only for what it checks: V_n, the fixed
+point on S_1 and the optimal points whose distortion the Riemann sums
+confirm.  The grid search finds the exact minimum over every partition of
+[0, 1] into n cells with edges on a grid, each cell served by its cheapest
+point on any constraint (a dynamic program over cell edges), runs the same
+program on halved-step windows around the incumbent's edges in each
+refinement round, and still lands on the same answer: all points on the
+top constraint S_n at abscissas (2j - 3) / (4n).  It accepts n up to 6; this
+demo shows n = 1..3.  A midpoint Riemann sum of the pointwise min squared
+distance independently confirms the distortion values.
 """
 
 from segquant import (

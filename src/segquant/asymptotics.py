@@ -53,12 +53,11 @@ def dimension_direct(n: int) -> float:
 
 @dataclass(frozen=True)
 class RegressionEstimate:
-    """Log-log fit of the excess curve and the dimension 2 / |slope|."""
+    """Log-log fit of the excess over [n_min, n_max] and the dimension 2 / |slope|."""
 
     slope: float
     intercept: float
     dimension: float
-    sample_range: tuple[int, int]
     residual: float
 
 
@@ -103,6 +102,5 @@ def dimension_regression(
         slope=slope,
         intercept=intercept,
         dimension=2 / abs(slope),
-        sample_range=(n_min, n_max),
         residual=residual,
     )

@@ -63,14 +63,8 @@ _LIST_LOOP_MAX_N = 192
 
 
 class InvalidQuantizerError(ValueError):
-    """The quantizer induces no valid partition (some cell collapses).
-
-    index, when set, is the 0-based position of the offending cell.
-    """
-
-    def __init__(self, message: str, index: Optional[int] = None):
-        super().__init__(message)
-        self.index = index
+    """The quantizer induces no valid partition (some cell collapses); the
+    message names the 0-based position of the offending pair or cell."""
 
 
 @dataclass(frozen=True)
@@ -96,8 +90,7 @@ class Quantizer:
             if not feet[i] < feet[i + 1]:
                 raise InvalidQuantizerError(
                     f"feet must be strictly increasing, got {feet[i]!r} before "
-                    f"{feet[i + 1]!r} at position {i}",
-                    index=i,
+                    f"{feet[i + 1]!r} at position {i}"
                 )
 
     @property
@@ -106,9 +99,6 @@ class Quantizer:
 
     def feet(self) -> tuple[float, ...]:
         return tuple([forward_map(p) for p in self.points])
-
-    def abscissas(self) -> tuple[float, ...]:
-        return tuple([p.x for p in self.points])
 
 
 def _cuts(planar: list[tuple[float, float]]) -> list[float]:
@@ -125,9 +115,7 @@ def _cuts(planar: list[tuple[float, float]]) -> list[float]:
     cuts.append(one)
     for i in range(len(cuts) - 1):
         if not cuts[i] < cuts[i + 1]:
-            raise InvalidQuantizerError(
-                f"cell {i} of the induced partition is empty", index=i
-            )
+            raise InvalidQuantizerError(f"cell {i} of the induced partition is empty")
     return cuts
 
 

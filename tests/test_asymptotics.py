@@ -59,8 +59,8 @@ def test_coefficient_estimate_decreases_to_one_half():
 def test_dimension_regression_default_window():
     est = dimension_regression(64, 16384, 9)
     assert isinstance(est, RegressionEstimate)
-    assert est.sample_range == (64, 16384)
     assert est.slope == -1.0024349294501091
+    assert est.intercept == -0.672536329664351
     assert est.dimension == 1.9951419700599522
     assert est.residual == 0.006301152695652235
     assert abs(est.dimension - 2.0) <= 0.01
@@ -94,14 +94,16 @@ def test_dimension_regression_validation():
     with pytest.raises(ValueError):
         dimension_regression(2.0, 100)
     # heavy rounding collapses the grid onto few integers, but the two
-    # distinct endpoints survive deduplication
+    # distinct endpoints survive deduplication: the fit is the one over the
+    # three samples 2, 3 and 4
     est = dimension_regression(2, 4, samples=9)
-    assert est.sample_range == (2, 4)
+    assert est == dimension_regression(2, 4, samples=3)
+    assert est.residual > 0
 
 
 def test_dimension_regression_refuses_n_above_vn_exact_cap():
     # unchecked, 10**400 would overflow math.exp while sampling
-    assert dimension_regression(2, 2**31 - 1).sample_range == (2, 2**31 - 1)
+    assert dimension_regression(2, 2**31 - 1).slope == -1.0119001450853096
     for big in (2**31, 10**400):
         with pytest.raises(ValueError, match=r"n_max must be an integer in \[2, 2147483647\]"):
             dimension_regression(2, big)

@@ -381,7 +381,7 @@ def test_domain_errors_exit_2():
     assert run_cli("dimension", "--n-min", "1", "--n-max", "10").returncode == 2
     proc = run_cli("solve", "--n", "7", "--method", "brute-force")
     assert proc.returncode == 2
-    assert proc.stderr == "error: n must be <= 6 for exhaustive search, got 7\n"
+    assert proc.stderr == "error: n must be an integer in [1, 6], got 7\n"
 
 
 def test_dimension_refuses_n_max_above_cap(capsys):

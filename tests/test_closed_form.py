@@ -54,7 +54,7 @@ def test_optimal_points_structure():
     q = optimal_points(5)
     assert q.n == 5
     assert all(p.j == 5 for p in q.points)
-    assert q.abscissas() == (-0.05, 0.05, 0.15, 0.25, 0.35)
+    assert tuple(p.x for p in q.points) == (-0.05, 0.05, 0.15, 0.25, 0.35)
 
 
 def test_abscissas_stay_strictly_interior():
@@ -85,7 +85,7 @@ def test_float_path_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(closed_form, "Fraction", refuse)
     for n in ns:
         assert unconstrained_means(n) == means[n]
-        assert [x.hex() for x in optimal_points(n).abscissas()] == abscissas[n]
+        assert [p.x.hex() for p in optimal_points(n).points] == abscissas[n]
     for call in (unconstrained_means, optimal_points):
         for n in (0, True, 100_001):
             with pytest.raises(ValueError):

@@ -341,14 +341,32 @@ def test_brute_force_is_deterministic():
 
 
 def test_brute_force_limits():
-    with pytest.raises(
-        ValueError, match=r"^n must be <= 6 for exhaustive search, got 7$"
-    ):
+    with pytest.raises(ValueError, match=r"^n must be an integer in \[1, 6\], got 7$"):
         brute_force(7)
     with pytest.raises(ValueError):
         brute_force(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^max_index must be an integer in \[1, 2\], got 3$"):
         brute_force(2, OracleConfig(max_index=3))
+
+
+def test_refine_rounds_are_capped_before_any_search(monkeypatch):
+    # each round reruns the search at a halved step, and from about 50 rounds
+    # on the step is below the edges' ulp
+    searches = []
+
+    def spy(*args):
+        searches.append(args)
+        return _partition_minimum(*args)
+
+    monkeypatch.setattr(oracle, "_partition_minimum", spy)
+    with pytest.raises(
+        ValueError, match=r"^refine_rounds must be an integer in \[0, 64\], got 65$"
+    ):
+        brute_force(3, OracleConfig(refine_rounds=65))
+    assert searches == []
+    out = brute_force(3, OracleConfig(refine_rounds=64))
+    assert out.iterations == len(searches) == 65
+    assert all(p.j == 3 for p in out.quantizer.points)
 
 
 GRID_EDGES_REFUSAL = (

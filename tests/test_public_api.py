@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -46,6 +47,31 @@ def test_public_names_are_pinned():
         "voronoi_breakpoint",
     ]
     assert all(hasattr(sq, name) for name in sq.__all__)
+
+
+def public(obj) -> list[str]:
+    return sorted(m for m in dir(obj) if not m.startswith("_"))
+
+
+def test_public_members_are_pinned():
+    fields = {
+        name: [f.name for f in dataclasses.fields(getattr(sq, name))]
+        for name in sq.__all__
+        if dataclasses.is_dataclass(getattr(sq, name))
+    }
+    assert fields == {
+        "ConstraintPoint": ["j", "x"],
+        "OracleConfig": ["grid_step", "max_index", "refine_rounds"],
+        "Point": ["x", "y"],
+        "Quantizer": ["points"],
+        "RegressionEstimate": ["slope", "intercept", "dimension", "residual"],
+        "SolverConfig": ["tol", "max_iter", "init", "init_feet"],
+        "SolverOutcome": ["quantizer", "distortion", "iterations", "converged"],
+        "SupportInterval": ["lo", "hi"],
+    }
+    # methods and properties, besides the points field
+    assert public(sq.Quantizer) == ["feet", "n"]
+    assert public(sq.InvalidQuantizerError("m")) == public(ValueError("m"))
 
 
 def test_every_annotation_resolves():
