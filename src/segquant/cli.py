@@ -9,7 +9,7 @@ round-trip float formatting, so identical invocations are byte-identical.
 Exit codes: 0 success, 1 verification failure, 2 usage error, a flag value
 out of range (reported as "error: <name> must be ...") or unwritable --out,
 3 non-convergence, a collapsed quantizer or mixed constraint indices.  Flags
-parse as plain ints and floats; the library's checks refuse bad values.
+parse as plain ints; the library's checks refuse bad values.
 """
 
 from __future__ import annotations
@@ -92,23 +92,20 @@ def _solve_csv(record: dict) -> str:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     n = args.n
-    # built whichever method runs, so that each refuses its bad flags
-    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
-    oracle_cfg = oracle.OracleConfig(grid_step=args.grid_step)
     if args.method == "closed-form":
         q, dist = closed_form.optimal_points(n), closed_form.vn(n)
     elif args.method == "lloyd":
-        outcome = solve_fixed_constraint(n, n, cfg)
+        outcome = solve_fixed_constraint(n, n)
         if not outcome.converged:
             print(
                 f"error: no convergence after {outcome.iterations} sweeps "
-                f"(tol={args.tol!r})",
+                f"(tol={SolverConfig.tol!r})",
                 file=sys.stderr,
             )
             return 3
         q, dist = outcome.quantizer, outcome.distortion
     else:
-        outcome = oracle.brute_force(n, oracle_cfg)
+        outcome = oracle.brute_force(n)
         q, dist = outcome.quantizer, outcome.distortion
     record = _solve_record(n, args.method, q, dist)
     if args.format == "csv":
@@ -241,9 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("closed-form", "lloyd", "brute-force"),
         default="closed-form",
     )
-    p.add_argument("--tol", type=float, default=SolverConfig.tol)
-    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
-    p.add_argument("--grid-step", type=float, default=oracle.OracleConfig.grid_step)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)

@@ -418,23 +418,26 @@ def test_mixed_constraint_result_exits_3(monkeypatch, capsys):
     assert captured.err == "error: result mixes constraint indices [2, 4]\n"
 
 
-def test_coarse_grid_steps_stay_on_the_segments(capsys):
-    # step 10 once searched S_2 off its domain and exited 2 naming x = -1.5;
-    # step 1e308 overflowed the grid state count and was refused
-    args = ["solve", "--method", "brute-force", "--out", os.devnull]
-    assert cli.main([*args, "--n", "2", "--grid-step", "10"]) == 3
-    assert capsys.readouterr().err == "error: no valid candidate on the coarse grid\n"
-    assert cli.main([*args, "--n", "1", "--grid-step", "1e308"]) == 0
-    assert capsys.readouterr().err == ""
-
-
 def test_non_convergence_exits_3():
-    proc = run_cli(
-        "solve", "--n", "64", "--method", "lloyd", "--tol", "1e-13", "--max-iter", "2"
-    )
+    # the smallest n whose default solve stalls at the rounding floor
+    proc = run_cli("solve", "--n", "972", "--method", "lloyd")
     assert proc.returncode == 3
-    assert "no convergence" in proc.stderr
+    assert proc.stderr == "error: no convergence after 10000 sweeps (tol=1e-12)\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "flag", [["--tol", "1e-9"], ["--max-iter", "5"], ["--grid-step", "0.01"]], ids=" ".join
+)
+def test_solve_takes_no_solver_settings(flag, capsys):
+    # solve runs SolverConfig() and OracleConfig(); other settings go through
+    # the library
+    with pytest.raises(SystemExit) as e:
+        cli.main(["solve", "--n", "2", *flag])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
 
 def test_main_is_importable_and_returns_codes():
@@ -450,16 +453,11 @@ def test_main_is_importable_and_returns_codes():
     "argv",
     [
         ["solve", "--n", "0"],
-        ["solve", "--n", "2", "--tol", "0"],
-        ["solve", "--n", "2", "--max-iter", "0", "--method", "brute-force"],
-        ["solve", "--n", "2", "--grid-step", "-1", "--method", "lloyd"],
         ["verify", "--oracle-n-max", "0"],
         ["curve", "--n-max", "0"],
         ["dimension", "--samples", "0"],
         ["solve", "--n", "100001"],
         ["solve", "--n", "7", "--method", "brute-force"],
-        ["solve", "--n", "2", "--tol", "inf"],
-        ["solve", "--n", "2", "--grid-step", "1e-5", "--method", "brute-force"],
         ["verify", "--n-max", "0"],
         ["verify", "--n-max", "100001"],
         ["verify", "--oracle-n-max", "7"],
@@ -473,8 +471,8 @@ def test_main_is_importable_and_returns_codes():
     ids=" ".join,
 )
 def test_out_of_range_flags_exit_2_from_the_library_checks(argv, monkeypatch, capsys):
-    # a flag its method does not read is refused too; verify before any solve;
-    # every refusal names the library parameter, in one wording
+    # verify refuses before any solve; every refusal names the library
+    # parameter, in one wording
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran before the flag was refused")
 

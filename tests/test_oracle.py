@@ -53,6 +53,8 @@ def test_config_validation():
         OracleConfig(grid_step=0.0)
     with pytest.raises(ValueError):
         OracleConfig(grid_step=float("inf"))
+    with pytest.raises(ValueError, match="^grid_step must be a positive finite number"):
+        OracleConfig(grid_step=-1.0)
     with pytest.raises(ValueError):
         OracleConfig(max_index=0)
     with pytest.raises(ValueError):
