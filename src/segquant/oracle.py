@@ -24,28 +24,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 # numpy is imported inside the search functions, so that `import segquant`
 # does not pay its start-up cost
 from . import quantizer as qz
-from .geometry import ConstraintPoint, _check_int, _check_positive_real, _plane
+from .geometry import ConstraintPoint, _check_int, _plane
 from .measure import cell_distortion
 
-# the default grid at n = 6 takes about 6 ms on 2 vCPUs and a 0.6 MiB
-# tracemalloc peak
+# the grid at n = 6 takes about 6 ms on 2 vCPUs and a 0.6 MiB tracemalloc peak
 _FULL_SEARCH_MAX_N = 6
 # riemann_distortion holds O(n) floats whatever panels is; up to 2**52 every
 # midpoint numerator i + 0.5 is an exact float, so _midpoints_below ends
 _RIEMANN_MAX_PANELS = 2**52
-# the coarse pass prices every pair of its G edges once and holds about six
-# G x G float64 tables at a time (8 MB each at G = 1000): G = 1000 at n = 6
-# takes about 0.26 s on 2 vCPUs and a 45.9 MiB tracemalloc peak
-_MAX_GRID_EDGES = 1000
-# refine_rounds: a round costs about 0.2 ms at n = 3, and from 51 rounds on
-# every result equalled the 200-round one (n = 2, 3 and 6; grid steps 1e-2,
-# 1e-3 and 0.3), once the halved step is below the edges' ulp
-_MAX_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -53,22 +44,19 @@ class OracleConfig:
     """Grid search settings.
 
     max_index=None searches S_1 .. S_n; smaller values restrict the family.
-    grid_step spaces the cell edges of the coarse pass, and refine_rounds
-    local passes halve it around the incumbent, so the final resolution is
-    grid_step / 2**refine_rounds.
+    The grid is fixed: grid_step spaces the cell edges of the coarse pass,
+    and refine_rounds local passes halve it around the incumbent, so the
+    final resolution is grid_step / 2**refine_rounds = 1.25e-3.  Both are
+    class constants, not fields.
     """
 
-    grid_step: float = 1e-2
+    grid_step: ClassVar[float] = 1e-2
+    refine_rounds: ClassVar[int] = 3
     max_index: Optional[int] = None
-    refine_rounds: int = 3
 
     def __post_init__(self) -> None:
-        _check_positive_real("grid_step", self.grid_step)
-        # a Fraction step would build an object array of edges
-        object.__setattr__(self, "grid_step", float(self.grid_step))
         if self.max_index is not None:
             _check_int("max_index", self.max_index)
-        _check_int("refine_rounds", self.refine_rounds, minimum=0, maximum=_MAX_ROUNDS)
 
 
 def _vertex(lo, hi, t: int):
@@ -123,14 +111,15 @@ def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutco
     S_1 .. S_max_index.
 
     It assumes one fact: a cell's cheapest point on S_t is the vertex of its
-    integral.  The coarse pass puts every interior edge on the grid 0, step,
-    2 step, ... <= 1.  Each of the refine_rounds halves the step and searches
-    +-2 steps around each incumbent edge, clipped to [0, 1]; the incumbent
-    stays among them, so a round never gets worse.  Each cell gets its
-    vertex point on the first cheapest constraint.  iterations counts passes
-    (1 coarse + refine_rounds); converged is always True.  The distortion is
-    recomputed through the quantizer module, over the points' own Voronoi
-    cells.  n is capped at _FULL_SEARCH_MAX_N = 6.
+    integral.  The coarse pass puts every interior edge on the 100 edges
+    k grid_step, k = 0 .. 99, which always hold n <= 6 nonempty cells.  Each
+    of the refine_rounds halves the step and searches +-2 steps around each
+    incumbent edge, clipped to [0, 1]; the incumbent stays among them, so a
+    round never gets worse.  Each cell gets its vertex point on the first
+    cheapest constraint.  iterations counts passes (1 coarse +
+    refine_rounds); converged is always True.  The distortion is recomputed
+    through the quantizer module, over the points' own Voronoi cells.  n is
+    capped at _FULL_SEARCH_MAX_N = 6.
     """
     import numpy as np
 
@@ -139,19 +128,9 @@ def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutco
     max_index = cfg.max_index if cfg.max_index is not None else n
     _check_int("max_index", max_index, maximum=n)
     step = cfg.grid_step
-    # the edges k step <= 1, counted exactly before anything is allocated; a
-    # subnormal step gives about 2**1074 of them
-    num, den = step.as_integer_ratio()
-    count = den // num + 1
-    if count > _MAX_GRID_EDGES:
-        raise ValueError(
-            f"grid_step must be coarse enough for at most {_MAX_GRID_EDGES} "
-            f"cell edges, got {step!r}"
-        )
-    grid = step * np.arange(count)
+    # the edges 0 .. 0.99: the float 1e-2 is just above 1/100, so 100 steps pass 1
+    grid = step * np.arange(100)
     best = _partition_minimum([np.zeros(1), *[grid] * (n - 1), np.ones(1)], max_index)
-    if best is None:
-        raise RuntimeError("no valid candidate on the coarse grid")
 
     for _ in range(cfg.refine_rounds):
         step /= 2

@@ -109,7 +109,7 @@ def test_criterion_2_solver_equivalence(criterion):
 
 
 def test_criterion_3_oracle_confirmation(criterion):
-    config = OracleConfig(grid_step=1e-2, refine_rounds=3)
+    config = OracleConfig()
     tol = 2 * config.grid_step / 2**config.refine_rounds
 
     def body():

@@ -321,8 +321,8 @@ def test_verify_detects_a_corrupted_closed_form(monkeypatch, capsys):
 
 
 def test_verify_holds_the_oracle_to_its_grid_resolution(monkeypatch, capsys):
-    # feet 0.01 off the means: within 2 * grid_step, outside the 5e-3 that the
-    # refined grid guarantees at the default OracleConfig
+    # feet 0.01 off the means: within 2 * grid_step, outside the 5e-3 that
+    # OracleConfig's fixed refined grid guarantees
     def off_grid_search(n, config=None):
         feet = [m + 0.01 for m in closed_form.unconstrained_means(n)]
         q = Quantizer(tuple(ConstraintPoint(n, (f - 1 / n) / 2) for f in feet))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -33,14 +34,13 @@ from segquant import (
 from segquant.measure import SupportInterval, cell_distortion, optimal_interval_distortion
 from segquant.oracle import (
     _FULL_SEARCH_MAX_N,
-    _MAX_GRID_EDGES,
     _RIEMANN_MAX_PANELS,
     _midpoints_below,
     _partition_minimum,
 )
 from conftest import count_plane_calls
 
-# discretization tolerances: the final grid resolution with defaults is
+# discretization tolerances: the final resolution of the fixed grid is
 # grid_step / 2**refine_rounds = 1.25e-3, and the distortion is locally
 # quadratic around the optimum
 ABSCISSA_TOL = 2.5e-3
@@ -50,15 +50,18 @@ _ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        OracleConfig(grid_step=0.0)
-    with pytest.raises(ValueError):
-        OracleConfig(grid_step=float("inf"))
-    with pytest.raises(ValueError, match="^grid_step must be a positive finite number"):
-        OracleConfig(grid_step=-1.0)
-    with pytest.raises(ValueError):
         OracleConfig(max_index=0)
-    with pytest.raises(ValueError):
-        OracleConfig(refine_rounds=-1)
+
+
+def test_oracle_config_sets_only_max_index():
+    # the grid is fixed: its step and rounds are class constants, not fields
+    assert [f.name for f in dataclasses.fields(OracleConfig)] == ["max_index"]
+    assert OracleConfig().grid_step == 1e-2
+    assert OracleConfig().refine_rounds == 3
+    with pytest.raises(TypeError):
+        OracleConfig(grid_step=0.02)
+    with pytest.raises(TypeError):
+        OracleConfig(refine_rounds=4)
 
 
 # ----------------------------------------------------------------- riemann
@@ -293,16 +296,6 @@ def test_riemann_on_mixed_constraint_quantizer():
 # ------------------------------------------------------------- brute force
 
 
-def test_brute_force_single_point_fine_grid():
-    out = brute_force(1, OracleConfig(grid_step=1e-3, refine_rounds=0))
-    p = out.quantizer.points[0]
-    assert p.j == 1
-    assert abs(p.x - (-0.25)) <= 2e-3
-    assert abs(out.distortion - float(F(29, 24))) <= 1e-5
-    assert out.iterations == 1
-    assert out.converged
-
-
 def test_brute_force_puts_all_points_on_the_top_constraint():
     for n in range(1, _FULL_SEARCH_MAX_N + 1):
         out = brute_force(n)
@@ -349,56 +342,6 @@ def test_brute_force_limits():
         brute_force(0)
     with pytest.raises(ValueError, match=r"^max_index must be an integer in \[1, 2\], got 3$"):
         brute_force(2, OracleConfig(max_index=3))
-
-
-def test_refine_rounds_are_capped_before_any_search(monkeypatch):
-    # each round reruns the search at a halved step, and from about 50 rounds
-    # on the step is below the edges' ulp
-    searches = []
-
-    def spy(*args):
-        searches.append(args)
-        return _partition_minimum(*args)
-
-    monkeypatch.setattr(oracle, "_partition_minimum", spy)
-    with pytest.raises(
-        ValueError, match=r"^refine_rounds must be an integer in \[0, 64\], got 65$"
-    ):
-        brute_force(3, OracleConfig(refine_rounds=65))
-    assert searches == []
-    out = brute_force(3, OracleConfig(refine_rounds=64))
-    assert out.iterations == len(searches) == 65
-    assert all(p.j == 3 for p in out.quantizer.points)
-
-
-GRID_EDGES_REFUSAL = (
-    rf"^grid_step must be coarse enough for at most {_MAX_GRID_EDGES} cell edges, got "
-)
-
-
-def test_brute_force_refuses_grid_states_above_cap_before_allocating(monkeypatch):
-    class Allocated(Exception):
-        pass
-
-    def arange(*args, **kwargs):
-        raise Allocated
-
-    monkeypatch.setattr(np, "arange", arange)
-    # 10,001 edges at n = 3 (a G x G table of 763 MiB), 10**9 + 1 at n = 1,
-    # and about 2**1074 from a subnormal step
-    for n, step in ((3, 1e-4), (1, 1e-9), (1, 5e-324)):
-        with pytest.raises(ValueError, match=GRID_EDGES_REFUSAL):
-            brute_force(n, OracleConfig(grid_step=step))
-    # the grid holds every k step <= 1, floor(1 / step) + 1 edges: one above
-    # the cap, then exactly the cap, where the first allocation is reached
-    at = 1 / (_MAX_GRID_EDGES - 1)
-    over = math.nextafter(1 / _MAX_GRID_EDGES, 0.0)
-    assert F(1) // F(over) + 1 == _MAX_GRID_EDGES + 1
-    assert F(1) // F(at) + 1 == _MAX_GRID_EDGES
-    with pytest.raises(ValueError, match=GRID_EDGES_REFUSAL):
-        brute_force(1, OracleConfig(grid_step=over))
-    with pytest.raises(Allocated):
-        brute_force(1, OracleConfig(grid_step=at))
 
 
 def _float_literal_cell(lo, hi, a, y):
@@ -604,22 +547,15 @@ def test_brute_force_distortion_is_at_most_the_partition_value(monkeypatch):
         assert vn(n) - 1e-12 <= out.distortion <= values[-1] + 4 * math.ulp(values[-1])
 
 
-def test_brute_force_searches_only_points_of_the_segments():
-    # a step above 1/(2j) once widened S_j's grid past its domain [-1/j, 1],
-    # and -1.0 / 5 rounds below -1/5; vertex points lie inside every domain,
-    # so a coarse step either finds a partition or finds none
-    found = 0
+def test_brute_force_restricted_families_pick_their_top_constraint():
+    # confined to S_1 .. S_m, every point lands on S_m: a higher-index
+    # constraint always wins.  The fixed grid holds n <= 6 nonempty cells, and
+    # vertex points lie inside their constraint's domain [-1/j, 1]
     for n in range(1, _FULL_SEARCH_MAX_N + 1):
-        for step in (0.15, 0.6, 1.2, 10.0, 1e308):
-            try:
-                out = brute_force(n, OracleConfig(grid_step=step))
-            except RuntimeError as exc:
-                assert str(exc) == "no valid candidate on the coarse grid"
-                continue
-            found += 1
+        for m in range(1, n + 1):
+            out = brute_force(n, OracleConfig(max_index=m))
+            assert all(p.j == m for p in out.quantizer.points), (n, m)
             assert all(-F(1, p.j) <= p.x <= 1 for p in out.quantizer.points)
-    # n = 1 at every step, n = 2 at 0.6 and 0.15, n = 3 .. 6 at 0.15
-    assert found == 11
 
 
 def test_brute_force_does_not_import_numpy_ma():
@@ -640,16 +576,11 @@ def test_brute_force_does_not_import_numpy_ma():
 
 def test_brute_force_never_holds_a_cube_of_states():
     # the point enumeration peaked at 20.6 MiB for n = 3 and the pair-state
-    # program at about 1.3 MiB; the edge search holds a few G x G tables,
-    # under the cap's 47 MiB even at G = _MAX_GRID_EDGES
-    for config, limit in (
-        (OracleConfig(), 2**20),
-        (OracleConfig(grid_step=1 / (_MAX_GRID_EDGES - 1), refine_rounds=0), 47 * 2**20),
-    ):
-        tracemalloc.start()
-        try:
-            brute_force(3, config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < limit
+    # program at about 1.3 MiB; the edge search holds a few 100 x 100 tables
+    tracemalloc.start()
+    try:
+        brute_force(3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -61,7 +61,7 @@ def test_public_members_are_pinned():
     }
     assert fields == {
         "ConstraintPoint": ["j", "x"],
-        "OracleConfig": ["grid_step", "max_index", "refine_rounds"],
+        "OracleConfig": ["max_index"],
         "Point": ["x", "y"],
         "Quantizer": ["points"],
         "RegressionEstimate": ["slope", "intercept", "dimension", "residual"],

@@ -43,7 +43,6 @@ CASES = {
     "solve_fixed_constraint.n": (lambda v: sq.solve_fixed_constraint(v, 1), 1),
     "solve_fixed_constraint.t": (lambda v: sq.solve_fixed_constraint(1, v), 1),
     "OracleConfig.max_index": (lambda v: sq.OracleConfig(max_index=v), 1),
-    "OracleConfig.refine_rounds": (lambda v: sq.OracleConfig(refine_rounds=v), 0),
     "brute_force.n": (sq.brute_force, 1),
     "riemann_distortion.panels": (
         lambda v: sq.riemann_distortion(sq.optimal_points(1), panels=v),
@@ -70,7 +69,6 @@ def test_integer_parameters_refuse_non_integers(case):
 
 FLOAT_CASES = {
     "SolverConfig.tol": (lambda v: sq.SolverConfig(tol=v), 1e-3),
-    "OracleConfig.grid_step": (lambda v: sq.OracleConfig(grid_step=v), 1e-2),
 }
 
 
@@ -83,12 +81,6 @@ def test_float_parameters_refuse_bools_and_non_numbers(case):
     for bad in (True, str(good), None, 10**400):
         with pytest.raises(ValueError):
             call(bad)
-
-
-def test_fraction_grid_step_searches_as_its_float():
-    # np.arange of a Fraction step built an object array, and _cut divided by 0
-    exact = sq.brute_force(2, sq.OracleConfig(grid_step=Fraction(1, 100)))
-    assert repr(exact) == repr(sq.brute_force(2, sq.OracleConfig(grid_step=0.01)))
 
 
 # (callable, coordinate): a call with the coordinate set to v; bools would
