@@ -29,7 +29,7 @@ def plain_lloyd_rate(n: int, sweeps: int) -> float:
     q = solve_fixed_constraint(n, n, SolverConfig(max_iter=1)).quantizer
     errors = [foot_error(n, q.feet())]
     for _ in range(sweeps - 1):
-        q = lloyd_step(q, n)
+        q = lloyd_step(q)
         errors.append(foot_error(n, q.feet()))
     half = sweeps // 2
     return (errors[-1] / errors[half - 1]) ** (1 / (sweeps - half))

@@ -23,7 +23,6 @@ from typing import Optional
 
 from . import asymptotics, closed_form, geometry, oracle
 from .quantizer import (
-    _MAX_POINTS,
     InvalidQuantizerError,
     SolverConfig,
     partition_of,
@@ -34,6 +33,10 @@ _FOOT_TOL = 1e-9
 _DISTORTION_TOL = 1e-12
 # a linear curve builds one row per n, about 600 B each, before printing any
 _CURVE_LINEAR_MAX_N = 100_000
+# verify refuses --n-max above this: n = 972 is the smallest n whose default
+# solve stalls at a rounding floor (converged=False after 10,000 sweeps, feet
+# 6.95e-13 off), so its Lloyd line would FAIL on a correct answer
+_VERIFY_MAX_N = 971
 
 
 def _emit(out: Optional[str], text: str) -> None:
@@ -43,31 +46,29 @@ def _emit(out: Optional[str], text: str) -> None:
         Path(out).write_text(text)
 
 
-def _solve_record(n: int, method: str, q, dist: float) -> dict:
+def _solve_record(method: str, q, dist: float) -> dict:
     indices = {p.j for p in q.points}
     if len(indices) != 1:
         raise RuntimeError(f"result mixes constraint indices {sorted(indices)}")
-    points = []
-    for p in q.points:
-        x, y = geometry._plane(p)
-        points.append(
-            {
-                "j": p.j,
-                "x": float(p.x),
-                "plane": [float(x), float(y)],
-                "foot": float(geometry.forward_map(p)),
-            }
-        )
+    points = [
+        {
+            "j": p.j,
+            "x": p.x,
+            "plane": list(geometry._plane(p)),
+            "foot": geometry.forward_map(p),
+        }
+        for p in q.points
+    ]
     excess = dist - closed_form.v_infinity()
     return {
-        "n": n,
+        "n": q.n,
         "method": method,
         "constraint_index": q.points[0].j,
         "points": points,
-        "breakpoints": [float(c) for c in partition_of(q)],
-        "distortion": float(dist),
-        "excess": float(excess),
-        "scaled_excess": float(n * excess),
+        "breakpoints": list(partition_of(q)),
+        "distortion": dist,
+        "excess": excess,
+        "scaled_excess": q.n * excess,
     }
 
 
@@ -107,7 +108,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         outcome = oracle.brute_force(n)
         q, dist = outcome.quantizer, outcome.distortion
-    record = _solve_record(n, args.method, q, dist)
+    record = _solve_record(args.method, q, dist)
     if args.format == "csv":
         _emit(args.out, _solve_csv(record))
     else:
@@ -175,16 +176,20 @@ def cmd_dimension(args: argparse.Namespace) -> int:
     return 0
 
 
+def _foot_dev(q) -> float:
+    means = closed_form.unconstrained_means(q.n)
+    return max(abs(f - m) for f, m in zip(q.feet(), means))
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    # refuse ranges the solver or brute_force would reject, before any solve runs
-    geometry._check_int("n_max", args.n_max, maximum=_MAX_POINTS)
+    # refuse ranges the Lloyd lines or brute_force cannot pass, before any solve runs
+    geometry._check_int("n_max", args.n_max, maximum=_VERIFY_MAX_N)
     geometry._check_int(
         "oracle_n_max", args.oracle_n_max, maximum=oracle._FULL_SEARCH_MAX_N
     )
-    oracle_cfg = oracle.OracleConfig()
     # the final grid resolution bounds the abscissa error by
     # 2 * grid_step / 2**refine_rounds, and a foot 2x + 1/j moves twice as far
-    oracle_tol = 4 * oracle_cfg.grid_step / 2**oracle_cfg.refine_rounds
+    oracle_tol = 4 * oracle.OracleConfig.grid_step / 2**oracle.OracleConfig.refine_rounds
     # the oracle runs first: it loads numpy, so solves of more than
     # quantizer._LIST_LOOP_IN_PROCESS_MAX_N points take the numpy loop, the
     # faster in-process there; its lines still print last.  Default `verify`
@@ -193,23 +198,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     oracle_lines = []
     all_ok = True
     for n in range(1, args.oracle_n_max + 1):
-        result = oracle.brute_force(n, oracle_cfg)
-        means = closed_form.unconstrained_means(n)
-        feet = result.quantizer.feet()
-        foot_dev = max(abs(f - m) for f, m in zip(feet, means))
-        index_ok = all(p.j == n for p in result.quantizer.points)
-        ok = index_ok and foot_dev <= oracle_tol
+        q = oracle.brute_force(n).quantizer
+        foot_dev = _foot_dev(q)
+        ok = all(p.j == n for p in q.points) and foot_dev <= oracle_tol
         all_ok &= ok
         oracle_lines.append(
-            f"oracle n={n} index={result.quantizer.points[0].j} "
+            f"oracle n={n} index={q.points[0].j} "
             f"foot_dev={foot_dev:.3e} {'ok' if ok else 'FAIL'}"
         )
     lines = []
     for n in range(1, args.n_max + 1):
-        means = closed_form.unconstrained_means(n)
         outcome = solve_fixed_constraint(n, n)
-        feet = outcome.quantizer.feet()
-        foot_dev = max(abs(f - m) for f, m in zip(feet, means))
+        foot_dev = _foot_dev(outcome.quantizer)
         dist_dev = abs(outcome.distortion - closed_form.vn(n))
         ok = outcome.converged and foot_dev <= _FOOT_TOL and dist_dev <= _DISTORTION_TOL
         all_ok &= ok

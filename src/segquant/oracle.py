@@ -141,8 +141,9 @@ def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutco
     edges = best[1]
     points = []
     for lo, hi in zip(edges, edges[1:]):
-        t = min(range(1, max_index + 1), key=lambda t: _vertex(lo, hi, t)[1])
-        points.append(ConstraintPoint(t, _vertex(lo, hi, t)[0]))
+        priced = [(_vertex(lo, hi, t), t) for t in range(1, max_index + 1)]
+        (x, _), t = min(priced, key=lambda v: v[0][1])
+        points.append(ConstraintPoint(t, x))
     q = qz.Quantizer(tuple(points))
     return qz.SolverOutcome(
         quantizer=q,

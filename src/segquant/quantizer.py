@@ -145,18 +145,19 @@ def distortion(q: Quantizer) -> float:
     )
 
 
-def lloyd_step(q: Quantizer, t: int) -> Quantizer:
-    """One Lloyd iteration for a quantizer supported on S_t.
+def lloyd_step(q: Quantizer) -> Quantizer:
+    """One Lloyd iteration for a quantizer whose points all lie on one S_t.
 
+    Reads t from the points, refusing points on more than one constraint.
     Repartitions, rejecting an empty cell as partition_of does, then moves
     each point to the S_t point nearest its cell's barycenter: the one whose
     foot is the cell's midpoint.  Cells lie in [0, 1], so its abscissa stays
     in [-1/(2t), 1/2 - 1/(2t)].  Fraction in gives Fraction out.
     """
-    _check_int("constraint index", t)
-    for p in q.points:
-        if p.j != t:
-            raise ValueError(f"point {p!r} is not on constraint {t}")
+    indices = sorted({p.j for p in q.points})
+    if len(indices) != 1:
+        raise ValueError(f"points lie on more than one constraint: indices {indices}")
+    t = indices[0]
     cuts = partition_of(q)
     return Quantizer(tuple(inverse_map(t, (lo + hi) / 2) for lo, hi in zip(cuts, cuts[1:])))
 

@@ -22,7 +22,6 @@ from segquant import (
     closed_form,
     distortion,
     oracle,
-    quantizer,
     vn,
 )
 
@@ -110,7 +109,7 @@ def test_closed_forms_and_small_solves_never_import_numpy():
         segquant.distortion(segquant.optimal_points(2))
         segquant.solve_fixed_constraint(64, 64)
         segquant.solve_fixed_constraint(quantizer._LIST_LOOP_MAX_N, 1)
-        segquant.lloyd_step(segquant.optimal_points(3), 3)
+        segquant.lloyd_step(segquant.optimal_points(3))
         for argv in (
             ["solve", "--n", "2"],
             ["curve", "--n-max", "16"],
@@ -355,7 +354,8 @@ def test_verify_refuses_n_max_above_cap_before_solving(monkeypatch, capsys):
         raise AssertionError("verify solved before refusing --n-max")
 
     monkeypatch.setattr(cli, "solve_fixed_constraint", no_solve)
-    cap = quantizer._MAX_POINTS
+    # n = 972 is the first n whose default solve stalls short of convergence
+    cap = 971
     code = cli.main(["verify", "--n-max", str(cap + 1)])
     captured = capsys.readouterr()
     assert code == 2

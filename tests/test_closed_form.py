@@ -111,7 +111,7 @@ def test_vn_is_the_distortion_of_the_optimal_points():
 def test_optimal_points_are_a_lloyd_fixed_point():
     for n in (1, 2, 3, 9):
         q = optimal_points(n)
-        stepped = lloyd_step(q, n)
+        stepped = lloyd_step(q)
         worst = max(
             abs(a.x - b.x) for a, b in zip(stepped.points, q.points)
         )

@@ -550,12 +550,20 @@ def test_brute_force_distortion_is_at_most_the_partition_value(monkeypatch):
 def test_brute_force_restricted_families_pick_their_top_constraint():
     # confined to S_1 .. S_m, every point lands on S_m: a higher-index
     # constraint always wins.  The fixed grid holds n <= 6 nonempty cells, and
-    # vertex points lie inside their constraint's domain [-1/j, 1]
+    # vertex points lie inside their constraint's domain [-1/j, 1].
+    # On S_m the squared distance from (u, 0) to the point with foot phi is
+    # ((u - phi)^2 + (u + 1/m)^2) / 2, so n points on S_m cost at least
+    # 1/6 + 1/(2m) + 1/(2m^2), from the second term, plus 1/(24 n^2), the
+    # first term at equispaced feet; at m = n this is V_n
     for n in range(1, _FULL_SEARCH_MAX_N + 1):
         for m in range(1, n + 1):
+            value = 1 / 6 + 1 / (2 * m) + 1 / (2 * m * m) + 1 / (24 * n * n)
             out = brute_force(n, OracleConfig(max_index=m))
             assert all(p.j == m for p in out.quantizer.points), (n, m)
             assert all(-F(1, p.j) <= p.x <= 1 for p in out.quantizer.points)
+            assert value - 1e-15 <= out.distortion <= value + 1e-6, (n, m)
+            solved = solve_fixed_constraint(n, m).distortion
+            assert abs(solved - value) <= 1e-12, (n, m)
 
 
 def test_brute_force_does_not_import_numpy_ma():

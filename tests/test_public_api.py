@@ -72,6 +72,8 @@ def test_public_members_are_pinned():
     # methods and properties, besides the points field
     assert public(sq.Quantizer) == ["feet", "n"]
     assert public(sq.InvalidQuantizerError("m")) == public(ValueError("m"))
+    # the points fix lloyd_step's constraint, so no caller passes it
+    assert list(inspect.signature(sq.lloyd_step).parameters) == ["q"]
 
 
 def test_every_annotation_resolves():

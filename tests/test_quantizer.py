@@ -325,19 +325,19 @@ def test_distortion_matches_closed_form_along_n():
 def test_lloyd_step_fixed_point_exact():
     for n in (1, 2, 3, 5, 8):
         q = optimal_quantizer(n)
-        assert lloyd_step(q, n).points == q.points
+        assert lloyd_step(q).points == q.points
 
 
 def test_lloyd_step_single_point():
     q = Quantizer((ConstraintPoint(1, F(3, 10)),))
-    stepped = lloyd_step(q, 1)
+    stepped = lloyd_step(q)
     assert stepped.points[0].x == F(-1, 4)
 
 
 def test_lloyd_step_two_points_exact():
     # feet (1/3, 2/3) -> cell midpoints (1/4, 3/4) -> feet (1/4, 3/4)
     q = Quantizer((inverse_map(1, F(1, 3)), inverse_map(1, F(2, 3))))
-    stepped = lloyd_step(q, 1)
+    stepped = lloyd_step(q)
     assert stepped.points == (ConstraintPoint(1, F(-3, 8)), ConstraintPoint(1, F(-1, 8)))
 
 
@@ -346,22 +346,21 @@ def test_lloyd_step_keeps_the_number_type(n):
     feet = [F(2 * j - 1, 2 * n) + F(1, 10 * n) for j in range(1, n + 1)]
     for kind in (F, float):
         q = Quantizer(tuple(inverse_map(2, kind(f)) for f in feet))
-        assert all(type(p.x) is kind for p in lloyd_step(q, 2).points)
+        assert all(type(p.x) is kind for p in lloyd_step(q).points)
 
 
-def test_lloyd_step_wrong_constraint():
-    q = optimal_quantizer(2)
-    with pytest.raises(ValueError):
-        lloyd_step(q, 3)
+def test_lloyd_step_refuses_mixed_constraints():
+    q = Quantizer((ConstraintPoint(2, 0.0), ConstraintPoint(4, 0.3)))
+    with pytest.raises(ValueError, match=r"indices \[2, 4\]"):
+        lloyd_step(q)
 
 
 def test_lloyd_step_never_increases_distortion():
     rng = np.random.default_rng(23)
     for _ in range(30):
         q = random_same_constraint_quantizer(rng)
-        t = q.points[0].j
         before = distortion(q)
-        after = distortion(lloyd_step(q, t))
+        after = distortion(lloyd_step(q))
         assert after <= before + 1e-14
 
 
@@ -424,7 +423,7 @@ def test_solver_single_sweep_equals_lloyd_step():
         t = q.points[0].j
         cfg = SolverConfig(tol=1e-30, max_iter=1, init="explicit", init_feet=q.feet())
         out = solve_fixed_constraint(q.n, t, cfg)
-        stepped = lloyd_step(q, t)
+        stepped = lloyd_step(q)
         worst = max(
             abs(a - float(b))
             for a, b in zip(out.quantizer.feet(), stepped.feet())

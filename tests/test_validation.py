@@ -38,7 +38,6 @@ CASES = {
     "dimension_regression.n_min": (lambda v: sq.dimension_regression(v, 100), 2),
     "dimension_regression.n_max": (lambda v: sq.dimension_regression(2, v), 100),
     "dimension_regression.samples": (lambda v: sq.dimension_regression(2, 100, v), 9),
-    "lloyd_step.t": (lambda v: sq.lloyd_step(sq.optimal_points(1), v), 1),
     "SolverConfig.max_iter": (lambda v: sq.SolverConfig(max_iter=v), 1),
     "solve_fixed_constraint.n": (lambda v: sq.solve_fixed_constraint(v, 1), 1),
     "solve_fixed_constraint.t": (lambda v: sq.solve_fixed_constraint(1, v), 1),
