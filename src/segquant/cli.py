@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import asymptotics, closed_form, geometry, oracle
+from . import asymptotics, closed_form, geometry, oracle, quantizer
 from .quantizer import (
     InvalidQuantizerError,
     SolverConfig,
@@ -190,22 +190,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # the final grid resolution bounds the abscissa error by
     # 2 * grid_step / 2**refine_rounds, and a foot 2x + 1/j moves twice as far
     oracle_tol = 4 * oracle.OracleConfig.grid_step / 2**oracle.OracleConfig.refine_rounds
-    # the oracle runs first: it loads numpy, so solves of more than
-    # quantizer._LIST_LOOP_IN_PROCESS_MAX_N points take the numpy loop, the
-    # faster in-process there; its lines still print last.  Default `verify`
-    # reads a 0.307 s median this way and 0.375 s with the solves first (11
-    # interleaved fresh runs each, 2 shared vCPUs, Python 3.11)
-    oracle_lines = []
+    # solves above quantizer._LIST_LOOP_IN_PROCESS_MAX_N points take the numpy
+    # loop, the faster one in-process there, once numpy is loaded; importing
+    # it before the first solve lets every such solve share one import
+    if args.n_max > quantizer._LIST_LOOP_IN_PROCESS_MAX_N:
+        import numpy  # noqa: F401
     all_ok = True
-    for n in range(1, args.oracle_n_max + 1):
-        q = oracle.brute_force(n).quantizer
-        foot_dev = _foot_dev(q)
-        ok = all(p.j == n for p in q.points) and foot_dev <= oracle_tol
-        all_ok &= ok
-        oracle_lines.append(
-            f"oracle n={n} index={q.points[0].j} "
-            f"foot_dev={foot_dev:.3e} {'ok' if ok else 'FAIL'}"
-        )
     lines = []
     for n in range(1, args.n_max + 1):
         outcome = solve_fixed_constraint(n, n)
@@ -217,7 +207,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"n={n} foot_dev={foot_dev:.3e} dist_dev={dist_dev:.3e} "
             f"{'ok' if ok else 'FAIL'}"
         )
-    lines += oracle_lines
+    for n in range(1, args.oracle_n_max + 1):
+        q = oracle.brute_force(n).quantizer
+        foot_dev = _foot_dev(q)
+        ok = all(p.j == n for p in q.points) and foot_dev <= oracle_tol
+        all_ok &= ok
+        lines.append(
+            f"oracle n={n} index={q.points[0].j} "
+            f"foot_dev={foot_dev:.3e} {'ok' if ok else 'FAIL'}"
+        )
     lines.append("verify: " + ("OK" if all_ok else "FAIL"))
     print("\n".join(lines))
     return 0 if all_ok else 1
@@ -279,10 +277,12 @@ def main(argv: Optional[list[str]] = None) -> int:
 def entrypoint() -> None:
     """Run main() in a CLI process: `python -m segquant` and `segquant`.
 
-    numpy loads lazily, and its OpenBLAS starts a pool of worker threads,
-    about half of a fresh `import numpy`; no segquant code calls BLAS (only
-    elementwise ufuncs, argmin and clip), so the pool
-    starts with one thread unless the user set OPENBLAS_NUM_THREADS.  Only
+    numpy loads lazily, only for Lloyd solves above
+    quantizer._LIST_LOOP_MAX_N points and for `verify --n-max` above
+    quantizer._LIST_LOOP_IN_PROCESS_MAX_N.  Its OpenBLAS starts a pool of
+    worker threads, about half of a fresh `import numpy`; no segquant code
+    calls BLAS (only elementwise ufuncs), so the pool starts with one thread
+    unless the user set OPENBLAS_NUM_THREADS.  Only
     this process entry point sets it: `import segquant` and main() leave
     os.environ alone.
     """

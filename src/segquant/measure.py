@@ -7,7 +7,8 @@ coordinates (a, y) is the exact quadratic integral
         = (hi - lo)/3 * (lo^2 + lo*hi + hi^2 - 3a(lo + hi) + 3a^2 + 3y^2).
 
 cell_distortion(lo, hi, a, y) evaluates it on the bare coordinates, for
-quantizer.distortion, interval_distortion and oracle.brute_force's numpy grids.
+quantizer.distortion, interval_distortion and oracle._vertex; the oracle's
+search writes the same expression out in its inner loop.
 The measure is the uniform (Lebesgue) measure on [0, 1].  Every integral is
 pure scalar arithmetic and is exact when given Fraction endpoints.
 """

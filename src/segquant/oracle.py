@@ -7,9 +7,12 @@ Quantization for Probability Distributions, LNM 1730, 2000).  A layered
 dynamic program over cell edges on a grid finds that minimum exactly (J. D.
 Bruce, "Optimum quantization", 1965; X. Wu, "Optimal quantization by matrix
 searching", 1991), and refinement rounds rerun it on halved-step windows
-around the incumbent's edges.  Cells are priced by measure.cell_distortion,
-the exact integral that quantizer.distortion sums too, and riemann_distortion,
-which never calls it, stays its referee.
+around the incumbent's edges.  On each constraint a layer's cost matrix is
+Monge, so the program takes its column minima by divide and conquer, on
+plain Python lists: the search loads no numpy.  Cells are priced by
+measure.cell_distortion's expression, the exact integral that
+quantizer.distortion sums too, and riemann_distortion, which never calls it,
+stays its referee.
 riemann_distortion integrates the pointwise min squared distance with a
 midpoint rule.  It finds the nearest point at each midpoint from the lower
 envelope of the n parabolas (u - a_k)^2 + y_k^2, one per embedded point
@@ -23,16 +26,15 @@ neither uses either: a defect shared with what it checks would go unseen.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
-# numpy is imported inside the search functions, so that `import segquant`
-# does not pay its start-up cost
 from . import quantizer as qz
 from .geometry import ConstraintPoint, _check_int, _plane
 from .measure import cell_distortion
 
-# the grid at n = 6 takes about 6 ms on 2 vCPUs and a 0.6 MiB tracemalloc peak
+# the grid at n = 6 takes about 6 ms on 2 vCPUs, Python 3.11
 _FULL_SEARCH_MAX_N = 6
 # riemann_distortion holds O(n) floats whatever panels is; up to 2**52 every
 # midpoint numerator i + 0.5 is an exact float, so _midpoints_below ends
@@ -68,40 +70,99 @@ def _vertex(lo, hi, t: int):
     return x, cell_distortion(lo, hi, x, x + 1 / t)
 
 
+def _cheapest_predecessors(value, lows, hi: float, shifts, firsts, lasts) -> list:
+    """For each t = 1 .. len(shifts), the pair (cost, a) of the least
+    value[a] + the vertex cost on S_t of the cell [lows[a], hi], over
+    firsts[t - 1] <= a <= lasts[t - 1] with lows[a] < hi, at its first
+    minimal a; (+inf, firsts[t - 1]) when there is none.  shifts[t - 1] is
+    (1/(2t), 1/t).  lows is non-decreasing, so the valid a are a prefix.
+    The cost is _vertex's, with cell_distortion's expression written out in
+    the same order, so the floats are the same; its literals are floats,
+    which saves an int conversion per operation."""
+    hh = hi * hi
+    found = []
+    for (half, inv), a0, a1 in zip(shifts, firsts, lasts):
+        best, arg = math.inf, a0
+        for a in range(a0, bisect_left(lows, hi, a0, a1 + 1)):
+            lo = lows[a]
+            s = lo + hi
+            x = s / 4.0 - half
+            y = x + inv
+            cost = value[a] + (hi - lo) * (
+                lo * lo + lo * hi + hh - 3.0 * x * s + 3.0 * (x * x + y * y)
+            ) / 3.0
+            if cost < best:
+                best, arg = cost, a
+        found.append((best, arg))
+    return found
+
+
+def _column_minima(value, lows, highs, max_index: int) -> list:
+    """(cost, a) for each edge b of highs: the least value[a] + the vertex
+    cost of [lows[a], highs[b]] over S_1 .. S_max_index and every a, at the
+    first minimal a over the t that reach it.
+
+    On S_t the vertex cost f_t(lo, hi) has d2f_t / dlo dhi = -(hi - lo)/4 <= 0,
+    so value[a] + f_t(lows[a], highs[b]), +inf where lows[a] >= highs[b], is
+    a Monge matrix: its first minimal a never decreases with b.  Divide and
+    conquer on the middle column, with one row range per t, then prices
+    O((A + B) log B) pairs per t, not A B (X. Wu, J. Algorithms 12, 1991).
+    The minimum over t is taken per column, outside the search: a minimum
+    of Monge matrices need not be one.
+    """
+    shifts = [(1 / (2 * t), 1 / t) for t in range(1, max_index + 1)]
+    out = [None] * len(highs)
+    # columns b0 .. b1 take their minima on S_t among the rows
+    # firsts[t - 1] .. lasts[t - 1]
+    stack = [(0, len(highs) - 1, [0] * max_index, [len(lows) - 1] * max_index)]
+    while stack:
+        b0, b1, firsts, lasts = stack.pop()
+        if firsts == lasts:
+            # one candidate row per t: nothing left to search
+            for b in range(b0, b1 + 1):
+                found = _cheapest_predecessors(value, lows, highs[b], shifts, firsts, lasts)
+                out[b] = min(found)
+            continue
+        m = (b0 + b1) // 2
+        found = _cheapest_predecessors(value, lows, highs[m], shifts, firsts, lasts)
+        out[m] = min(found)
+        args = [a for _, a in found]
+        if b0 < m:
+            stack.append((b0, m - 1, firsts, args))
+        if m < b1:
+            stack.append((m + 1, b1, args, lasts))
+    return out
+
+
 def _partition_minimum(layers, max_index: int) -> Optional[tuple[float, list[float]]]:
     """Cheapest partition whose edge k lies on layers[k], by dynamic programming.
 
-    A cell [lo, hi] costs the least vertex cost over S_1 .. S_max_index, and
-    +inf when lo >= hi.  value_k(b) = min over a of value_{k-1}(a) +
-    cost(a, b) is the least cost of the first k cells ending at edge b.
+    Every layer must be non-decreasing; the column minima rely on it.  A cell
+    [lo, hi] costs the least vertex cost over S_1 .. S_max_index, and +inf
+    when lo >= hi.  value_k(b) = min over t and a of value_{k-1}(a) +
+    cost_t(a, b) is the least cost of the first k cells ending at edge b;
+    fl(v + .) is monotone, so this is the float a table of min_t cost_t gives.
     Cells are added left to right, so the minimum is the same float an
     enumeration of every edge tuple finds, and each edge is the first
-    minimal predecessor of the edge after it.  Returns (value, edges), or
+    minimal predecessor of the edge after it: the least value wins, then
+    the smallest a over the t that reach it.  Returns (value, edges), or
     None when every partition has an empty cell.
     """
-    import numpy as np
-
-    value = np.zeros(1)
+    for k, layer in enumerate(layers):
+        if any(b < a for a, b in zip(layer, layer[1:])):
+            raise ValueError(f"layer {k} must be non-decreasing")
+    value = [0.0]
     back = []
-    table = (None, None, None)
     for lows, highs in zip(layers, layers[1:]):
-        # the coarse pass repeats one interior layer, so its table is built once
-        if table[0] is not lows or table[1] is not highs:
-            lo, hi = lows[:, None], highs[None, :]
-            cost = np.inf
-            for t in range(1, max_index + 1):
-                cost = np.minimum(cost, _vertex(lo, hi, t)[1])
-            table = (lows, highs, np.where(lo < hi, cost, np.inf))
-        total = value[:, None] + table[2]
-        a = np.argmin(total, axis=0)
-        value = total[a, np.arange(highs.size)]
-        back.append(a)
+        best = _column_minima(value, lows, highs, max_index)
+        value = [v for v, _ in best]
+        back.append([a for _, a in best])
     if not math.isfinite(value[0]):
         return None
     b = 0
     edges = [float(layers[-1][0])]
     for layer, a in zip(reversed(layers[:-1]), reversed(back)):
-        b = int(a[b])
+        b = a[b]
         edges.append(float(layer[b]))
     return float(value[0]), edges[::-1]
 
@@ -121,22 +182,20 @@ def brute_force(n: int, config: Optional[OracleConfig] = None) -> qz.SolverOutco
     through the quantizer module, over the points' own Voronoi cells.  n is
     capped at _FULL_SEARCH_MAX_N = 6.
     """
-    import numpy as np
-
     _check_int("n", n, maximum=_FULL_SEARCH_MAX_N)
     cfg = config if config is not None else OracleConfig()
     max_index = cfg.max_index if cfg.max_index is not None else n
     _check_int("max_index", max_index, maximum=n)
     step = cfg.grid_step
     # the edges 0 .. 0.99: the float 1e-2 is just above 1/100, so 100 steps pass 1
-    grid = step * np.arange(100)
-    best = _partition_minimum([np.zeros(1), *[grid] * (n - 1), np.ones(1)], max_index)
+    grid = [step * k for k in range(100)]
+    best = _partition_minimum([[0.0], *[grid] * (n - 1), [1.0]], max_index)
 
     for _ in range(cfg.refine_rounds):
         step /= 2
-        window = step * np.arange(-2.0, 3.0)
-        inner = [np.clip(e + window, 0.0, 1.0) for e in best[1][1:-1]]
-        best = _partition_minimum([np.zeros(1), *inner, np.ones(1)], max_index)
+        window = [step * k for k in range(-2, 3)]
+        inner = [[min(max(e + w, 0.0), 1.0) for w in window] for e in best[1][1:-1]]
+        best = _partition_minimum([[0.0], *inner, [1.0]], max_index)
 
     edges = best[1]
     points = []

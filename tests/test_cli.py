@@ -83,8 +83,8 @@ def test_dimension_golden_bytes():
 
 
 def test_verify_golden_bytes():
-    # with the oracle's numpy loaded, the solves take the list loop up to
-    # quantizer._LIST_LOOP_IN_PROCESS_MAX_N points and the numpy loop above
+    # --n-max 64 imports numpy before the solves, so they take the list loop
+    # up to quantizer._LIST_LOOP_IN_PROCESS_MAX_N points and the numpy loop above
     proc = run_cli("verify")
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "verify_default.txt").read_text()
@@ -99,8 +99,8 @@ def test_out_file_matches_stdout(tmp_path):
 
 
 def test_closed_forms_and_small_solves_never_import_numpy():
-    # numpy is loaded by the oracle and by solves above
-    # quantizer._LIST_LOOP_MAX_N points only
+    # numpy is loaded by solves above quantizer._LIST_LOOP_MAX_N points and by
+    # verify --n-max above quantizer._LIST_LOOP_IN_PROCESS_MAX_N only
     code = textwrap.dedent(
         """
         import contextlib, io, sys
@@ -116,10 +116,36 @@ def test_closed_forms_and_small_solves_never_import_numpy():
             ["dimension"],
             ["solve", "--n", "8", "--method", "lloyd"],
             ["solve", "--n", "64", "--method", "lloyd"],
+            ["solve", "--n", "6", "--method", "brute-force"],
+            ["verify", "--n-max", "28", "--oracle-n-max", "6"],
         ):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) == 0, argv
         assert "numpy" not in sys.modules, "numpy was imported"
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_above_the_in_process_crossover_loads_numpy():
+    # above quantizer._LIST_LOOP_IN_PROCESS_MAX_N the numpy loop is the faster
+    # in-process, so verify imports numpy once, before its first solve
+    code = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        from segquant import cli, quantizer
+        argv = ["verify", "--n-max", str(quantizer._LIST_LOOP_IN_PROCESS_MAX_N + 1)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert "numpy" in sys.modules, "numpy was not imported"
         """
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -511,8 +537,9 @@ def test_import_and_main_leave_the_environment_alone():
         import os, sys
         before = dict(os.environ)
         import segquant
-        from segquant import cli
-        argv = ["solve", "--n", "2", "--method", "brute-force", "--out", os.devnull]
+        from segquant import cli, quantizer
+        n = str(quantizer._LIST_LOOP_MAX_N + 1)
+        argv = ["solve", "--n", n, "--method", "lloyd", "--out", os.devnull]
         assert cli.main(argv) == 0
         assert "numpy" in sys.modules
         assert dict(os.environ) == before
@@ -530,14 +557,15 @@ def test_import_and_main_leave_the_environment_alone():
     not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc/self/task"
 )
 def test_entrypoint_sets_the_blas_thread_count_before_numpy_loads():
-    # brute_force imports numpy; OpenBLAS sizes its pool then, once
+    # a Lloyd solve above quantizer._LIST_LOOP_MAX_N points imports numpy;
+    # OpenBLAS sizes its pool then, once
     code = textwrap.dedent(
         """
         import os, sys
-        from segquant import cli
+        from segquant import cli, quantizer
         sys.argv = [
-            "segquant", "solve", "--n", "1", "--method", "brute-force",
-            "--out", os.devnull,
+            "segquant", "solve", "--n", str(quantizer._LIST_LOOP_MAX_N + 1),
+            "--method", "lloyd", "--out", os.devnull,
         ]
         try:
             cli.entrypoint()

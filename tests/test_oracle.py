@@ -35,6 +35,7 @@ from segquant.measure import SupportInterval, cell_distortion, optimal_interval_
 from segquant.oracle import (
     _FULL_SEARCH_MAX_N,
     _RIEMANN_MAX_PANELS,
+    _cheapest_predecessors,
     _midpoints_below,
     _partition_minimum,
 )
@@ -46,6 +47,7 @@ from conftest import count_plane_calls
 ABSCISSA_TOL = 2.5e-3
 DISTORTION_TOL = 1e-5
 _ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_config_validation():
@@ -345,8 +347,8 @@ def test_brute_force_limits():
 
 
 def _float_literal_cell(lo, hi, a, y):
-    # the cell integral with float literals, as a referee: the search needs
-    # measure.cell_distortion's int literals to give the same bits
+    # the cell integral with float literals, as the search writes it out:
+    # measure.cell_distortion's int literals must give the same bits
     poly = lo * lo + lo * hi + hi * hi - 3.0 * a * (lo + hi) + 3.0 * (a * a + y * y)
     return (hi - lo) * poly / 3.0
 
@@ -354,11 +356,11 @@ def _float_literal_cell(lo, hi, a, y):
 @settings(deadline=None)
 @given(size=st.integers(1, 6), data=st.data())
 def test_cell_distortion_is_the_float_literal_formula_bit_for_bit(size, data):
-    # nan and inf included: the search prices every pair of edges, valid or not
+    # nan and inf included
     column = st.lists(st.floats(), min_size=size, max_size=size).map(np.array)
     lo, hi, a, y = (data.draw(column) for _ in range(4))
-    # the shapes the search passes: a table of edge pairs with its vertex
-    # abscissas, and the float edges of one chosen cell
+    # a numpy table of edge pairs with its vertex abscissas, and the float
+    # edges of one cell
     table = np.broadcast_to(a[:, None], (size, size)), np.broadcast_to(y[None, :], (size, size))
     cases = [
         (lo[:, None], hi[None, :], *table),
@@ -407,7 +409,7 @@ def _enumerated_minimum(layers, max_index):
             if best is None or key < best[0]:
                 best = (key, edges)
             return
-        for i, e in enumerate(layers[len(edges)].tolist()):
+        for i, e in enumerate(list(layers[len(edges)])):
             if e > edges[-1]:
                 extend((*picks, i), [*edges, e])
 
@@ -432,14 +434,15 @@ def test_dynamic_program_equals_the_enumeration(grid_step):
 
 
 def test_dynamic_program_equals_the_enumeration_on_random_grids():
-    # irregular layers, unsorted and with repeats, some with no valid tuple
+    # irregular layers, sorted as the search requires, with repeats, some
+    # with no valid tuple
     rng = np.random.default_rng(7)
     valid = 0
     for _ in range(300):
         n = int(rng.integers(1, 5))
         max_index = int(rng.integers(1, n + 1))
         inner = [
-            np.round(rng.uniform(0.0, 1.0, size=int(rng.integers(1, 7))), 1)
+            np.sort(np.round(rng.uniform(0.0, 1.0, size=int(rng.integers(1, 7))), 1))
             for _ in range(n - 1)
         ]
         layers = [np.zeros(1), *inner, np.ones(1)]
@@ -447,6 +450,15 @@ def test_dynamic_program_equals_the_enumeration_on_random_grids():
         assert best == _enumerated_minimum(layers, max_index), layers
         valid += best is not None
     assert valid >= 100
+
+
+def test_partition_minimum_refuses_an_unsorted_layer():
+    # the column minima assume non-decreasing layers; on unsorted ones they
+    # can miss the minimum
+    with pytest.raises(ValueError, match=r"^layer 1 must be non-decreasing$"):
+        _partition_minimum([[0.0], [0.5, 0.2], [1.0]], 2)
+    with pytest.raises(ValueError, match=r"^layer 2 must be non-decreasing$"):
+        _partition_minimum([[0.0], [0.2, 0.2], [0.9, 0.5, 0.7], [1.0]], 1)
 
 
 def test_dynamic_program_equals_the_enumeration_on_refinement_windows():
@@ -509,26 +521,46 @@ def test_brute_force_refines_on_the_incumbents_windows(monkeypatch):
             assert after == _enumerated_minimum(layers, max_index)
 
 
-def test_brute_force_prices_the_coarse_edge_pairs_once(monkeypatch):
-    # the coarse pass repeats one grid on every interior layer; pricing its
-    # G x G pairs per layer instead would multiply the time by n - 2
-    tables = []
+def test_brute_force_prices_at_most_a_quarter_of_the_full_table(monkeypatch):
+    # divide and conquer prices O(G log G) pairs per layer and constraint;
+    # one full table of the G = 100 coarse edges holds G x G x n (cell, t)
+    # pairs, and the whole search may price at most a quarter of that
+    priced = []
 
-    def spy(lo, hi, t):
-        if np.ndim(lo) == 2 and np.size(lo) > 1 and np.size(hi) > 1:
-            tables.append(t)
-        return real(lo, hi, t)
+    def spy(value, lows, hi, shifts, firsts, lasts):
+        priced.append(
+            sum(lows[a] < hi for a0, a1 in zip(firsts, lasts) for a in range(a0, a1 + 1))
+        )
+        return real(value, lows, hi, shifts, firsts, lasts)
 
-    real = oracle._vertex
-    monkeypatch.setattr(oracle, "_vertex", spy)
+    real = oracle._cheapest_predecessors
+    monkeypatch.setattr(oracle, "_cheapest_predecessors", spy)
     for n in (3, 6):
-        tables.clear()
+        priced.clear()
         brute_force(n)
-        # the coarse table priced over t = 1 .. n, then the n - 2 tables
-        # between consecutive 5-edge windows in each of the 3 rounds
-        assert tables == [*range(1, n + 1)] + [
-            t for _ in range(3 * (n - 2)) for t in range(1, n + 1)
-        ]
+        assert 0 < sum(priced) <= 100 * 100 * n / 4, (n, sum(priced))
+
+
+@settings(deadline=None)
+@given(
+    cell=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+    value=st.floats(0.0, 8.0),
+    max_index=st.integers(1, 64),
+)
+def test_search_price_is_the_vertex_cost_bit_for_bit(cell, value, max_index):
+    # the inlined price of [lo, hi] on S_t, after the path's value, is
+    # value + cell_distortion at _vertex's abscissa, to the bit, for every t;
+    # an empty cell is never priced
+    lo, hi = cell
+    shifts = [(1 / (2 * t), 1 / t) for t in range(1, max_index + 1)]
+    rows = [0] * max_index
+    found = _cheapest_predecessors([value], [lo], hi, shifts, rows, rows)
+    for t, (cost, a) in enumerate(found, 1):
+        assert a == 0
+        if lo < hi:
+            assert cost.hex() == (value + oracle._vertex(lo, hi, t)[1]).hex()
+        else:
+            assert cost == math.inf
 
 
 def test_brute_force_distortion_is_at_most_the_partition_value(monkeypatch):
@@ -566,14 +598,26 @@ def test_brute_force_restricted_families_pick_their_top_constraint():
             assert abs(solved - value) <= 1e-12, (n, m)
 
 
-def test_brute_force_does_not_import_numpy_ma():
-    # np.unique's first call imports numpy.ma, 9-13 ms in a fresh process
+def test_brute_force_results_are_the_golden_bits():
+    # every restricted family at every n, to the bit: the distortion, and
+    # each point's constraint index and abscissa
+    lines = []
+    for n in range(1, _FULL_SEARCH_MAX_N + 1):
+        for m in range(1, n + 1):
+            out = brute_force(n, OracleConfig(max_index=m))
+            points = " ".join(f"{p.j}:{p.x.hex()}" for p in out.quantizer.points)
+            lines.append(f"n={n} m={m} distortion={out.distortion.hex()} points={points}")
+    assert "\n".join(lines) + "\n" == (GOLDEN / "brute_force_pairs.txt").read_text()
+
+
+def test_brute_force_does_not_import_numpy():
+    # the search runs on lists: a fresh import of numpy takes about 60 ms
     code = textwrap.dedent(
         """
         import sys
         from segquant import brute_force
-        brute_force(2)
-        assert "numpy.ma" not in sys.modules, "brute_force imported numpy.ma"
+        brute_force(6)
+        assert "numpy" not in sys.modules, "brute_force imported numpy"
         """
     )
     proc = subprocess.run(
@@ -584,7 +628,8 @@ def test_brute_force_does_not_import_numpy_ma():
 
 def test_brute_force_never_holds_a_cube_of_states():
     # the point enumeration peaked at 20.6 MiB for n = 3 and the pair-state
-    # program at about 1.3 MiB; the edge search holds a few 100 x 100 tables
+    # program at about 1.3 MiB; the edge search holds a few 100-edge lists
+    # per layer
     tracemalloc.start()
     try:
         brute_force(3)
